@@ -5,19 +5,28 @@ The verification suites walk every canonical endomorphism of a cell
 larger cells (about 10^6 endomorphisms each), so this module decodes
 parameter vectors in numpy chunks and evaluates, per chunk:
 
-* invertibility mod p (batched Leibniz determinants),
-* fixed-point counts of every unit multiple, via the identity
-  index = gcd of the maximal minors of [M - I | diag(p^{e_i})],
-  which is the product of the Smith invariant factors,
+* invertibility mod p (batched Leibniz determinants of n x n matrices),
+* fixed-point counts of every unit multiple k*M.  |Fix| is the index of
+  the column lattice of [kM - I | diag(p^{e_i})].  Scaling row i by
+  p^{E - e_i}, with E = e_n, turns the block into [N | p^E I], so the
+  exponent is the sum of the Smith valuations of N over Z/p^E (each
+  capped at E) minus sum(E - e_i).  The valuations come from a batched
+  valuation-pivot elimination (Storjohann and Mulders, "Fast algorithms
+  for linear algebra modulo N", ESA 1998): take the entry of least
+  valuation, clear its column with the inverse-free row operation
+  u*row_i - (a_ic / p^v)*row_r, where u is the pivot's unit part, and
+  drop the pivot row and column,
 * validity, invertibility and mod-p column structure of the matrices
   conjugated by diag(p^{d_i}) for the depth vector d(e).
 
-All arithmetic stays in int64; ``batchable`` guards the entry bounds so
-no intermediate can overflow.  A deterministic sample of endomorphisms
-from every cell is re-checked through the plain per-object APIs
-(fixed_point_count, product_number, restrict, column_structure_check,
-brute_fixed_points, twisted_class_count), so the batched results stay
-anchored to the reference implementations.
+All arithmetic stays in int64; ``batchable`` holds the bounds under
+which no intermediate can overflow, and cells outside them raise
+BudgetExceeded like cells over the enumeration budget.  A
+deterministic sample of endomorphisms from every cell is re-checked
+through the plain per-object APIs (fixed_point_count, product_number,
+restrict, column_structure_check, brute_fixed_points,
+twisted_class_count), so the batched results stay anchored to the
+reference implementations.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -33,22 +42,40 @@ from .core import IntMatrix
 from .decomposition import abc_decompose, column_structure_check, restrict
 from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism
 from .errors import BudgetExceeded
+from .oracle import (
+    brute_fixed_points,
+    canonical_parameters,
+    endomorphism_count,
+    twisted_class_count,
+)
 from .spectra import product_number
 
-_MAX_N = 5  # Leibniz determinants: n! terms
 _INT64_SAFE = 2**62
+SWEEP_SAMPLES = 48  # per-object re-checks per sweep_cell
+TRIPLE_SAMPLES = 24  # per-object re-checks per triple_check
 
 
 def batchable(g: PGroupType) -> bool:
-    """True when every intermediate of the batched pipeline fits int64."""
-    n = g.n
-    if n == 0:
+    """True when every intermediate of the batched pipeline fits int64:
+    the endomorphism indices that _decode splits, and the products of
+    the elimination, which stay below p^{2E}.  With n = 1 there is no
+    elimination and the largest product is the unit scaling k*M < p^{E+1}."""
+    if g.n == 0:
         return True
-    if n > _MAX_N:
-        return False
     largest = g.p ** g.e[-1]
-    # minors of [M - I | D]: up to n! products of n entries < p * largest
-    return math.factorial(n) * (g.p * largest) ** n < _INT64_SAFE
+    product = largest * (largest if g.n > 1 else g.p)
+    return product < _INT64_SAFE and endomorphism_count(g) < _INT64_SAFE
+
+
+def _check_cell(g: PGroupType, budget) -> int:
+    total = endomorphism_count(g)
+    if total > budget.max_endos:
+        raise BudgetExceeded(
+            f"{total} endomorphisms of {g} exceed the cap {budget.max_endos}"
+        )
+    if not batchable(g):
+        raise BudgetExceeded(f"cell {g} exceeds the int64 bounds of the batched engine")
+    return total
 
 
 @dataclass(frozen=True)
@@ -103,11 +130,6 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     return (gathered.prod(axis=2) * signs).sum(axis=1)
 
 
-@lru_cache(maxsize=None)
-def _column_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(2 * n), n))
-
-
 def _decode(indices: np.ndarray, strides: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     """Map endomorphism indices to (B, n, n) canonical matrices."""
     n2 = len(counts)
@@ -118,36 +140,40 @@ def _decode(indices: np.ndarray, strides: np.ndarray, counts: np.ndarray, n: int
     return (params * strides[None, :]).reshape(-1, n, n)
 
 
-def _valuations(values: np.ndarray, p: int) -> np.ndarray:
-    vals = values.copy()
-    exps = np.zeros_like(vals)
-    while True:
-        mask = vals % p == 0
-        if not mask.any():
-            break
-        vals[mask] //= p
-        exps[mask] += 1
-    if not (vals == 1).all():
-        raise AssertionError("lattice index is not a power of p")
-    return exps
-
-
 def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier: int) -> np.ndarray:
     """Exponent of |Fix(mul_multiplier . phi)| for a stack of matrices."""
-    n = g.n
+    n, p = g.n, g.p
+    top = p ** g.e[-1]
+    scale = top // np.array(g.moduli, dtype=np.int64)
+    # reducing row i mod p^{e_i} and then scaling it by p^{E - e_i} is
+    # the same as scaling first and reducing mod p^E
+    work = mats * (multiplier * scale)[None, :, None]
+    work -= np.diag(scale)
+    work %= top
     batch = mats.shape[0]
-    moduli = np.array(g.moduli, dtype=np.int64)
-    work = (multiplier * mats) % moduli[None, :, None]
-    work = work - np.eye(n, dtype=np.int64)[None]
-    diag = np.diag(moduli)
-    block = np.concatenate(
-        [work, np.broadcast_to(diag, (batch, n, n))], axis=2
-    )
-    acc = np.zeros(batch, dtype=np.int64)
-    for cols in _column_subsets(n):
-        det = _batch_det(block[:, :, cols])
-        np.gcd(acc, np.abs(det), out=acc)
-    return _valuations(acc, g.p)
+    rows = np.arange(batch)
+    # gcd(a, p^E) = p^{min(v(a), E)}; used rows and columns are zero, so
+    # they hold p^E and are never chosen while a live entry is smaller
+    pivots = np.empty((batch, n), dtype=np.int64)
+    for step in range(n):
+        flat = work.reshape(batch, n * n)
+        gcds = np.gcd(flat, top)
+        at = gcds.argmin(axis=1)
+        pivot = gcds[rows, at]
+        pivots[:, step] = pivot
+        if step == n - 1:
+            break
+        r, c = np.divmod(at, n)
+        unit = flat[rows, at] // pivot
+        factors = work[rows, :, c] // pivot[:, None]
+        pivot_row = work[rows, r, :]
+        # clears column c everywhere, the pivot row included
+        work *= unit[:, None, None]
+        work -= factors[:, :, None] * pivot_row[:, None, :]
+        work %= top
+    powers = p ** np.arange(g.e[-1] + 1, dtype=np.int64)
+    shift = sum(g.e[-1] - v for v in g.e)
+    return np.searchsorted(powers, pivots).sum(axis=1) - shift
 
 
 def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
@@ -194,16 +220,8 @@ def _to_endo(g: PGroupType, mat: np.ndarray) -> EndoMatrix:
 
 
 def _cell_arrays(g: PGroupType) -> tuple[np.ndarray, np.ndarray]:
-    n, p, e = g.n, g.p, g.e
-    strides = np.array(
-        [p ** max(0, e[i] - e[j]) for i in range(n) for j in range(n)],
-        dtype=np.int64,
-    )
-    counts = np.array(
-        [p ** min(e[i], e[j]) for i in range(n) for j in range(n)],
-        dtype=np.int64,
-    )
-    return strides, counts
+    strides, counts = canonical_parameters(g)
+    return np.array(strides, dtype=np.int64), np.array(counts, dtype=np.int64)
 
 
 def _trivial_cell_report(g: PGroupType) -> CellReport:
@@ -222,28 +240,15 @@ def _trivial_cell_report(g: PGroupType) -> CellReport:
 
 
 @lru_cache(maxsize=256)
-def sweep_cell(
-    g: PGroupType,
-    budget,
-    check_structure: bool = True,
-    sample_quota: int = 48,
-) -> CellReport:
+def sweep_cell(g: PGroupType, budget) -> CellReport:
     """Sweep every automorphism of the cell; see the module docstring."""
-    from .oracle import endomorphism_count
-
-    total = endomorphism_count(g)
-    if total > budget.max_endos:
-        raise BudgetExceeded(
-            f"{total} endomorphisms of {g} exceed the cap {budget.max_endos}"
-        )
-    if not batchable(g):
-        raise ValueError(f"cell {g} is not batchable; use the direct path")
+    total = _check_cell(g, budget)
     if g.n == 0:
         return _trivial_cell_report(g)
 
     n, p = g.n, g.p
     strides, counts = _cell_arrays(g)
-    sample_at = set(int(v) for v in _sample_indices(total, sample_quota))
+    sample_at = set(int(v) for v in _sample_indices(total, SWEEP_SAMPLES))
 
     auto_count = 0
     r_exps: set[int] = set()
@@ -275,9 +280,8 @@ def sweep_cell(
             lo, hi = int(pi_exp.min()), int(pi_exp.max())
             pi_min = lo if pi_min is None else min(pi_min, lo)
             pi_max = hi if pi_max is None else max(pi_max, hi)
-            if check_structure:
-                struct_ok = _structure_ok(autos, g)
-                violations += int((~struct_ok).sum())
+            struct_ok = _structure_ok(autos, g)
+            violations += int((~struct_ok).sum())
 
         for gidx in sorted(sample_at):
             if not (start <= gidx < stop):
@@ -295,10 +299,8 @@ def sweep_cell(
                 samples_ok = False
             if product_number(em).nu(p) != int(pi_exp[row]):
                 samples_ok = False
-            if check_structure:
-                reference = _reference_structure_ok(em, dec)
-                if reference != bool(struct_ok[row]):
-                    samples_ok = False
+            if _reference_structure_ok(em, dec) != bool(struct_ok[row]):
+                samples_ok = False
 
     if pi_min is None or pi_max is None:
         raise AssertionError("every cell contains at least the identity")
@@ -324,23 +326,15 @@ def _reference_structure_ok(em: EndoMatrix, dec) -> bool:
 
 
 @lru_cache(maxsize=64)
-def triple_check(g: PGroupType, budget, sample_quota: int = 24) -> TripleReport:
+def triple_check(g: PGroupType, budget) -> TripleReport:
     """Compare the three fixed-point counting routes over every canonical
     endomorphism of the cell at the element level."""
-    from .oracle import brute_fixed_points, endomorphism_count, twisted_class_count
-
-    total = endomorphism_count(g)
-    if total > budget.max_endos:
-        raise BudgetExceeded(
-            f"{total} endomorphisms of {g} exceed the cap {budget.max_endos}"
-        )
+    total = _check_cell(g, budget)
     order = g.order
     if order > budget.max_group_order:
         raise BudgetExceeded(
             f"group order {order} exceeds the cap {budget.max_group_order}"
         )
-    if not batchable(g):
-        raise ValueError(f"cell {g} is not batchable; use the direct path")
     if g.n == 0:
         return TripleReport(g, 1, 0, 1, True)
 
@@ -371,7 +365,7 @@ def triple_check(g: PGroupType, budget, sample_quota: int = 24) -> TripleReport:
     weights_i = weights.astype(int_dtype)
     low_bits = (moduli - 1).astype(int_dtype)
 
-    sample_at = set(int(v) for v in _sample_indices(total, sample_quota))
+    sample_at = set(int(v) for v in _sample_indices(total, TRIPLE_SAMPLES))
     mismatches = 0
     samples_checked = 0
     samples_ok = True

@@ -20,7 +20,7 @@ import sys
 
 from . import _sweep
 from .core import Factored, factorize, format_matrix, parse_matrix
-from .decomposition import abc_decompose, block_notation, column_structure_check, restrict
+from .decomposition import abc_decompose, block_notation
 from .endo import (
     EndoMatrix,
     PGroupType,
@@ -42,14 +42,7 @@ from .errors import (
     OutOfSpectrum,
     WrongPrime,
 )
-from .oracle import (
-    DEFAULT_BUDGET,
-    EnumBudget,
-    enumerate_automorphisms,
-    endomorphism_count,
-    iter_partitions,
-    iter_types,
-)
+from .oracle import DEFAULT_BUDGET, EnumBudget, iter_partitions, iter_types
 from .spectra import (
     AbelianGroupType,
     product_number,
@@ -286,49 +279,18 @@ def _closed_forms(g: PGroupType) -> tuple[set[int], set[int], int, int]:
     return set(r_closed.ints()), set(spec_p(g).ints()), lo, hi
 
 
-def _verify_cell_direct(g: PGroupType, budget: EnumBudget) -> dict:
-    # per-object fallback for cells the batch engine cannot take
-    dec = abc_decompose(g)
-    r_vals: set[int] = set()
-    pi_exps: set[int] = set()
-    autos = 0
-    violations = 0
-    for em in enumerate_automorphisms(g, budget):
-        autos += 1
-        r_vals.add(reidemeister_number(em).to_int())
-        pi_exps.add(product_number(em).nu(g.p))
-        restricted = restrict(em, dec.d)
-        if not is_automorphism(restricted):
-            violations += 1
-        elif not all(rep.ok for rep in column_structure_check(em)):
-            violations += 1
-    return {
-        "endos": endomorphism_count(g),
-        "autos": autos,
-        "r_values": r_vals,
-        "pi_values": {g.p**v for v in pi_exps},
-        "pi_lo": min(pi_exps),
-        "pi_hi": max(pi_exps),
-        "violations": violations,
-        "samples_ok": True,
-    }
-
-
 def _verify_cell(g: PGroupType, budget: EnumBudget) -> dict:
-    if _sweep.batchable(g):
-        rep = _sweep.sweep_cell(g, budget)
-        observed = {
-            "endos": rep.endo_count,
-            "autos": rep.auto_count,
-            "r_values": {g.p**v for v in rep.r_exponents},
-            "pi_values": {g.p**v for v in rep.pi_exponents},
-            "pi_lo": rep.pi_min,
-            "pi_hi": rep.pi_max,
-            "violations": rep.structure_violations,
-            "samples_ok": rep.samples_ok,
-        }
-    else:
-        observed = _verify_cell_direct(g, budget)
+    rep = _sweep.sweep_cell(g, budget)
+    observed = {
+        "endos": rep.endo_count,
+        "autos": rep.auto_count,
+        "r_values": {g.p**v for v in rep.r_exponents},
+        "pi_values": {g.p**v for v in rep.pi_exponents},
+        "pi_lo": rep.pi_min,
+        "pi_hi": rep.pi_max,
+        "violations": rep.structure_violations,
+        "samples_ok": rep.samples_ok,
+    }
     r_closed, pi_closed, lo, hi = _closed_forms(g)
     checks = {
         "R": observed["r_values"] == r_closed,
@@ -345,10 +307,15 @@ def _verify_cell(g: PGroupType, budget: EnumBudget) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     budget = _resolve_budget(args)
     primes = args.primes or [2, 3, 5]
+    exps = None
+    if args.exponents is not None:
+        try:
+            exps = tuple(int(v) for v in args.exponents.split(",")) if args.exponents else ()
+        except ValueError as exc:
+            raise GroupSpecError(f"bad exponent list {args.exponents!r}") from exc
     cells: list[PGroupType] = []
     for p in primes:
-        if args.exponents is not None:
-            exps = tuple(int(v) for v in args.exponents.split(",")) if args.exponents else ()
+        if exps is not None:
             cells.append(validate_type(p, exps))
         else:
             cells.extend(iter_types(p, max_endos=budget.max_endos))

@@ -135,15 +135,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def hstack(self, other: IntMatrix) -> IntMatrix:
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack needs equal row counts")
-        entries = []
-        for i in range(self.rows):
-            entries.extend(self.row(i))
-            entries.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(entries))
-
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(

@@ -4,7 +4,7 @@ Endomorphisms are enumerated through their canonical parameterization:
 entry (i, j) ranges over p^{max(0, e_i - e_j)} * t with
 t in [0, p^{min(e_i, e_j)}), one representative per endomorphism, in
 lexicographic order of the row-major parameter vector.  Fixed points
-und twisted classes are counted at the element level, independently of
+and twisted classes are counted at the element level, independently of
 the lattice-index shortcut they validate.
 
 Caps on enumeration sizes live in ``EnumBudget``; sweeps over whole
@@ -13,6 +13,7 @@ families of groups are driven by the ``iter_types`` helpers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,14 +24,14 @@ from .endo import (
     apply,
     elements,
     is_automorphism,
-    reidemeister_number,
 )
 from .errors import BudgetExceeded
-from .spectra import Spectrum, product_number
+from .spectra import Spectrum
 
 __all__ = [
     "EnumBudget",
     "DEFAULT_BUDGET",
+    "canonical_parameters",
     "endomorphism_count",
     "enumerate_endomorphisms",
     "enumerate_automorphisms",
@@ -57,13 +58,18 @@ class EnumBudget:
 DEFAULT_BUDGET = EnumBudget()
 
 
+def canonical_parameters(g: PGroupType) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row-major (strides, counts): entry (i, j) of a canonical matrix is
+    p^{max(0, e_i - e_j)} * t with 0 <= t < p^{min(e_i, e_j)}."""
+    p, e = g.p, g.e
+    strides = tuple(p ** max(0, ei - ej) for ei in e for ej in e)
+    counts = tuple(p ** min(ei, ej) for ei in e for ej in e)
+    return strides, counts
+
+
 def endomorphism_count(g: PGroupType) -> int:
     """Number of endomorphisms: product over (i, j) of p^{min(e_i, e_j)}."""
-    total = 0
-    for ei in g.e:
-        for ej in g.e:
-            total += min(ei, ej)
-    return g.p**total
+    return math.prod(canonical_parameters(g)[1])
 
 
 def _check_endo_budget(g: PGroupType, budget: EnumBudget) -> int:
@@ -84,9 +90,7 @@ def enumerate_endomorphisms(
     if n == 0:
         yield EndoMatrix(g, IntMatrix(0, 0, ()))
         return
-    p, e = g.p, g.e
-    strides = [p ** max(0, e[i] - e[j]) for i in range(n) for j in range(n)]
-    counts = [p ** min(e[i], e[j]) for i in range(n) for j in range(n)]
+    strides, counts = canonical_parameters(g)
     params = [0] * (n * n)
     while True:
         entries = tuple(s * t for s, t in zip(strides, params))
@@ -148,23 +152,11 @@ def oracle_spectrum(
 ) -> Spectrum:
     """Exact set of twisted class counts (or product numbers) over every
     automorphism, computed by exhaustive enumeration."""
-    from . import _sweep
+    from . import _sweep  # _sweep imports this module at load time
 
-    _check_endo_budget(g, budget)
-    if _sweep.batchable(g):
-        report = _sweep.sweep_cell(g, budget)
-        exps = report.pi_exponents if use_pi else report.r_exponents
-        return Spectrum(Factored.prime_power(g.p, v) for v in exps)
-    return _oracle_spectrum_direct(g, use_pi, budget)
-
-
-def _oracle_spectrum_direct(
-    g: PGroupType, use_pi: bool, budget: EnumBudget
-) -> Spectrum:
-    values = set()
-    for em in enumerate_automorphisms(g, budget):
-        values.add(product_number(em) if use_pi else reidemeister_number(em))
-    return Spectrum(values)
+    report = _sweep.sweep_cell(g, budget)
+    exps = report.pi_exponents if use_pi else report.r_exponents
+    return Spectrum(Factored.prime_power(g.p, v) for v in exps)
 
 
 def iter_partitions(total: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:

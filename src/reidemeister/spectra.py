@@ -328,7 +328,8 @@ def witness(g: PGroupType, m: int) -> EndoMatrix:
         take = min(extra, capacities[idx] - targets[idx])
         targets[idx] += take
         extra -= take
-    assert extra == 0
+    if extra:
+        raise AssertionError(f"exponent {m} left {extra} undistributed over the blocks")
 
     p = g.p
     parts = []

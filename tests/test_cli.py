@@ -210,6 +210,24 @@ def test_verify_budget_skip(capsys):
     assert "SKIPPED" in out
 
 
+def test_verify_skips_cells_outside_int64_bounds(capsys, monkeypatch):
+    # 2^225 endomorphisms: too many indices for int64, whatever the budget
+    code, out, err = run(capsys, "verify", "-p", "2", "-e", "9,9,9,9,9", "--max-endos", str(2**300))
+    assert code == 0 and err == ""
+    assert "p=2 e=9,9,9,9,9 SKIPPED" in out
+    # 2^34 endomorphisms fit the budget, but p^{2E} = 2^62 does not fit
+    monkeypatch.setenv("REIDEMEISTER_BUDGET", str(2**40))
+    code, out, err = run(capsys, "verify", "-p", "2", "-e", "1,31")
+    assert code == 0 and err == ""
+    assert "p=2 e=1,31 SKIPPED" in out
+    assert out.splitlines()[-1] == "summary: 1 cells, 0 passed, 0 failed, 1 skipped"
+
+
+def test_verify_bad_exponent_list(capsys):
+    code, out, err = run(capsys, "verify", "-p", "2", "-e", "1,x")
+    assert code == 2 and "parse error" in err and out == ""
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "-p", "2", "-e", "2,3", "--json")
     assert code == 0

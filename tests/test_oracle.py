@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from reidemeister import (
@@ -19,14 +20,15 @@ from reidemeister import (
     oracle_spectrum,
     parse_matrix,
     reidemeister_number,
+    scale,
     spec_p,
     spec_r_2group,
     spec_r_abelian,
     spec_r_odd_p,
     twisted_class_count,
 )
-from reidemeister.oracle import DEFAULT_BUDGET, _oracle_spectrum_direct
-from reidemeister.spectra import AbelianGroupType, product_number
+from reidemeister.oracle import DEFAULT_BUDGET
+from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
 from reidemeister import _sweep
 
 
@@ -135,7 +137,10 @@ def test_oracle_spectrum_budget():
 def test_batched_spectrum_matches_direct_loop(g):
     for use_pi in (False, True):
         batched = oracle_spectrum(g, use_pi)
-        direct = _oracle_spectrum_direct(g, use_pi, DEFAULT_BUDGET)
+        direct = Spectrum(
+            product_number(em) if use_pi else reidemeister_number(em)
+            for em in enumerate_automorphisms(g)
+        )
         assert batched == direct
 
 
@@ -210,7 +215,46 @@ def test_triple_check_small_cells():
 def test_batchable_guard():
     assert _sweep.batchable(PGroupType(2, (5, 5)))
     assert _sweep.batchable(PGroupType(2, ()))
-    assert not _sweep.batchable(PGroupType(2, (1,) * 6))
+    # bounds: elimination products p^{2E} < 2^62, fewer than 2^62 indices
+    assert _sweep.batchable(PGroupType(2, (1,) * 6))
+    assert _sweep.batchable(PGroupType(2, (1, 1, 19)))
+    assert _sweep.batchable(PGroupType(2, (1, 30)))
+    assert not _sweep.batchable(PGroupType(2, (1, 31)))
+    assert not _sweep.batchable(PGroupType(2, (1,) * 8))
+    assert not _sweep.batchable(PGroupType(2, (9,) * 5))
+    # n = 1 has no elimination; the unit scaling k*M stays below p^{E+1}
+    assert _sweep.batchable(PGroupType(2, (60,)))
+    assert not _sweep.batchable(PGroupType(2, (61,)))
+    assert not _sweep.batchable(PGroupType(7, (22,)))
+
+
+def test_unbatchable_cell_is_over_budget():
+    huge = EnumBudget(max_endos=2**70, max_group_order=2**70)
+    for g in [PGroupType(2, (1, 31)), PGroupType(2, (9,) * 5)]:
+        with pytest.raises(BudgetExceeded):
+            _sweep.sweep_cell(g, huge)
+        with pytest.raises(BudgetExceeded):
+            _sweep.triple_check(g, huge)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [PGroupType(2, (1, 1, 19)), PGroupType(2, (1,) * 6), PGroupType(3, (1, 1, 12))],
+    ids=str,
+)
+def test_fix_exponents_matches_fixed_point_count(g):
+    # cells the Leibniz-minor engine refused: large entries, or n = 6
+    assert _sweep.batchable(g)
+    strides, counts = _sweep._cell_arrays(g)
+    total = endomorphism_count(g)
+    idx = np.unique(np.linspace(0, total - 1, 97).astype(np.int64))
+    idx = np.concatenate([idx, np.random.default_rng(7).integers(0, total, 60)])
+    mats = _sweep._decode(idx, strides, counts, g.n)
+    for k in range(1, g.p):
+        batched = _sweep._fix_exponents(mats, g, k)
+        for mat, exp in zip(mats, batched):
+            em = scale(_sweep._to_endo(g, mat), k)
+            assert fixed_point_count(em).nu(g.p) == exp
 
 
 # -- partitions and type iteration ----------------------------------------------------
