@@ -51,6 +51,7 @@ from .errors import (
     GroupMismatch,
     GroupSpecError,
     InvalidEndoMatrix,
+    InvariantViolation,
     MatrixFormatError,
     NonPositiveExponent,
     NotAutomorphism,

@@ -1,9 +1,10 @@
 """Vectorized exhaustive sweeps over canonical endomorphism matrices.
 
 The verification suites walk every canonical endomorphism of a cell
-(p, e).  Doing that one EndoMatrix at a time is far too slow for the
-larger cells (about 10^6 endomorphisms each), so this module decodes
-parameter vectors in numpy chunks and evaluates, per chunk:
+(p, e), about 10^6 in the larger cells: far too many to build one
+EndoMatrix at a time.  One generator, ``_walk``, decodes the indices in
+numpy chunks for both sweeps; the trivial group is its case n = 0 (one
+empty matrix).  Per chunk, ``sweep_cell`` evaluates:
 
 * invertibility mod p (batched Leibniz determinants of n x n matrices),
 * fixed-point counts of every unit multiple k*M.  |Fix| is the index of
@@ -19,14 +20,18 @@ parameter vectors in numpy chunks and evaluates, per chunk:
 * validity, invertibility and mod-p column structure of the matrices
   conjugated by diag(p^{d_i}) for the depth vector d(e).
 
-All arithmetic stays in int64; ``batchable`` holds the bounds under
-which no intermediate can overflow, and cells outside them raise
-BudgetExceeded like cells over the enumeration budget.  A
-deterministic sample of endomorphisms from every cell is re-checked
-through the plain per-object APIs (fixed_point_count, product_number,
-restrict, column_structure_check, brute_fixed_points,
-twisted_class_count), so the batched results stay anchored to the
-reference implementations.
+``triple_check`` counts the fixed points of every endomorphism by brute
+force and by the image of x - phi(x), both as float matmuls over an
+element table, and by the lattice index above.
+
+All arithmetic stays exact: ``batchable`` holds the int64 bounds under
+which no intermediate can overflow, and the element kernel needs its
+dot products below 2^53.  Cells outside these bounds raise
+BudgetExceeded like cells over the enumeration budget.  A deterministic
+sample of endomorphisms from every cell is re-checked through the plain
+per-object APIs (fixed_point_count, product_number, restrict,
+column_structure_check, brute_fixed_points, twisted_class_count), so
+the batched results stay anchored to the reference implementations.
 """
 
 from __future__ import annotations
@@ -35,14 +40,17 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import Iterator
 
 import numpy as np
 
 from .core import IntMatrix
 from .decomposition import abc_decompose, column_structure_check, restrict
 from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .oracle import (
+    _check_endo_budget,
+    _check_order_budget,
     brute_fixed_points,
     canonical_parameters,
     endomorphism_count,
@@ -60,19 +68,13 @@ def batchable(g: PGroupType) -> bool:
     the endomorphism indices that _decode splits, and the products of
     the elimination, which stay below p^{2E}.  With n = 1 there is no
     elimination and the largest product is the unit scaling k*M < p^{E+1}."""
-    if g.n == 0:
-        return True
-    largest = g.p ** g.e[-1]
+    largest = g.p ** max(g.e, default=0)
     product = largest * (largest if g.n > 1 else g.p)
     return product < _INT64_SAFE and endomorphism_count(g) < _INT64_SAFE
 
 
 def _check_cell(g: PGroupType, budget) -> int:
-    total = endomorphism_count(g)
-    if total > budget.max_endos:
-        raise BudgetExceeded(
-            f"{total} endomorphisms of {g} exceed the cap {budget.max_endos}"
-        )
+    total = _check_endo_budget(g, budget)
     if not batchable(g):
         raise BudgetExceeded(f"cell {g} exceeds the int64 bounds of the batched engine")
     return total
@@ -122,28 +124,31 @@ def _perm_data(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _batch_det(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a (B, n, n) int64 stack (caller bounds entries)."""
     n = mats.shape[1]
-    if n == 0:
-        return np.ones(mats.shape[0], dtype=np.int64)
     perms, signs = _perm_data(n)
     rows = np.arange(n, dtype=np.int64)[None, :]
     gathered = mats[:, rows, perms]  # (B, n!, n)
     return (gathered.prod(axis=2) * signs).sum(axis=1)
 
 
+def _weights(radices) -> np.ndarray:
+    """Place values of a mixed-radix number whose last digit varies fastest."""
+    weights = np.ones(len(radices), dtype=np.int64)
+    for k in range(len(radices) - 2, -1, -1):
+        weights[k] = weights[k + 1] * radices[k + 1]
+    return weights
+
+
 def _decode(indices: np.ndarray, strides: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     """Map endomorphism indices to (B, n, n) canonical matrices."""
-    n2 = len(counts)
-    weights = np.ones(n2, dtype=np.int64)
-    for k in range(n2 - 2, -1, -1):
-        weights[k] = weights[k + 1] * counts[k + 1]
-    params = (indices[:, None] // weights[None, :]) % counts[None, :]
-    return (params * strides[None, :]).reshape(-1, n, n)
+    params = (indices[:, None] // _weights(counts)[None, :]) % counts[None, :]
+    return (params * strides[None, :]).reshape(len(indices), n, n)
 
 
 def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier: int) -> np.ndarray:
     """Exponent of |Fix(mul_multiplier . phi)| for a stack of matrices."""
     n, p = g.n, g.p
-    top = p ** g.e[-1]
+    top_exp = max(g.e, default=0)
+    top = p**top_exp
     scale = top // np.array(g.moduli, dtype=np.int64)
     # reducing row i mod p^{e_i} and then scaling it by p^{E - e_i} is
     # the same as scaling first and reducing mod p^E
@@ -171,8 +176,8 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier: int) -> np.ndarr
         work *= unit[:, None, None]
         work -= factors[:, :, None] * pivot_row[:, None, :]
         work %= top
-    powers = p ** np.arange(g.e[-1] + 1, dtype=np.int64)
-    shift = sum(g.e[-1] - v for v in g.e)
+    powers = p ** np.arange(top_exp + 1, dtype=np.int64)
+    shift = sum(top_exp - v for v in g.e)
     return np.searchsorted(powers, pivots).sum(axis=1) - shift
 
 
@@ -219,57 +224,37 @@ def _to_endo(g: PGroupType, mat: np.ndarray) -> EndoMatrix:
     return EndoMatrix(g, IntMatrix(n, n, entries))
 
 
-def _cell_arrays(g: PGroupType) -> tuple[np.ndarray, np.ndarray]:
-    strides, counts = canonical_parameters(g)
-    return np.array(strides, dtype=np.int64), np.array(counts, dtype=np.int64)
-
-
-def _trivial_cell_report(g: PGroupType) -> CellReport:
-    return CellReport(
-        group=g,
-        endo_count=1,
-        auto_count=1,
-        r_exponents=frozenset({0}),
-        pi_exponents=frozenset({0}),
-        pi_min=0,
-        pi_max=0,
-        structure_violations=0,
-        samples_checked=1,
-        samples_ok=True,
-    )
+def _walk(
+    g: PGroupType, total: int, quota: int, chunk: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Decode all ``total`` canonical endomorphisms of g, ``chunk`` at a
+    time, in index order.  Yields (mats, positions): the (B, n, n) chunk
+    and the rows of it that ``_sample_indices(total, quota)`` selects."""
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
+    samples = _sample_indices(total, quota)
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        mats = _decode(np.arange(start, stop, dtype=np.int64), strides, counts, g.n)
+        lo, hi = np.searchsorted(samples, (start, stop))
+        yield mats, samples[lo:hi] - start
 
 
 @lru_cache(maxsize=256)
 def sweep_cell(g: PGroupType, budget) -> CellReport:
     """Sweep every automorphism of the cell; see the module docstring."""
     total = _check_cell(g, budget)
-    if g.n == 0:
-        return _trivial_cell_report(g)
-
-    n, p = g.n, g.p
-    strides, counts = _cell_arrays(g)
-    sample_at = set(int(v) for v in _sample_indices(total, SWEEP_SAMPLES))
-
-    auto_count = 0
+    p = g.p
+    dec = abc_decompose(g)
+    auto_count = violations = samples_checked = 0
     r_exps: set[int] = set()
     pi_exps: set[int] = set()
-    pi_min: int | None = None
-    pi_max: int | None = None
-    violations = 0
-    samples_checked = 0
     samples_ok = True
-    dec = abc_decompose(g)
 
-    chunk = max(1, min(1 << 13, (1 << 22) // max(1, math.factorial(n) * n)))
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        mats = _decode(idx, strides, counts, n)
+    chunk = max(1, min(1 << 13, (1 << 22) // max(1, math.factorial(g.n) * g.n)))
+    for mats, positions in _walk(g, total, SWEEP_SAMPLES, chunk):
         amask = _batch_det(mats % p) % p != 0
         autos = mats[amask]
         auto_count += int(amask.sum())
-
-        r_exp = pi_exp = struct_ok = None
         if autos.shape[0]:
             r_exp = _fix_exponents(autos, g, 1)
             pi_exp = r_exp.copy()
@@ -277,18 +262,12 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
                 pi_exp += _fix_exponents(autos, g, mult)
             r_exps.update(int(v) for v in np.unique(r_exp))
             pi_exps.update(int(v) for v in np.unique(pi_exp))
-            lo, hi = int(pi_exp.min()), int(pi_exp.max())
-            pi_min = lo if pi_min is None else min(pi_min, lo)
-            pi_max = hi if pi_max is None else max(pi_max, hi)
             struct_ok = _structure_ok(autos, g)
             violations += int((~struct_ok).sum())
 
-        for gidx in sorted(sample_at):
-            if not (start <= gidx < stop):
-                continue
-            pos = gidx - start
+        samples_checked += len(positions)
+        for pos in positions:
             em = _to_endo(g, mats[pos])
-            samples_checked += 1
             if bool(amask[pos]) != is_automorphism(em):
                 samples_ok = False
                 continue
@@ -302,16 +281,15 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
             if _reference_structure_ok(em, dec) != bool(struct_ok[row]):
                 samples_ok = False
 
-    if pi_min is None or pi_max is None:
-        raise AssertionError("every cell contains at least the identity")
+    # the identity is an automorphism of every cell, so pi_exps is not empty
     return CellReport(
         group=g,
         endo_count=total,
         auto_count=auto_count,
         r_exponents=frozenset(r_exps),
         pi_exponents=frozenset(pi_exps),
-        pi_min=pi_min,
-        pi_max=pi_max,
+        pi_min=min(pi_exps),
+        pi_max=max(pi_exps),
         structure_violations=violations,
         samples_checked=samples_checked,
         samples_ok=samples_ok,
@@ -330,58 +308,38 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
     """Compare the three fixed-point counting routes over every canonical
     endomorphism of the cell at the element level."""
     total = _check_cell(g, budget)
-    order = g.order
-    if order > budget.max_group_order:
-        raise BudgetExceeded(
-            f"group order {order} exceeds the cap {budget.max_group_order}"
-        )
-    if g.n == 0:
-        return TripleReport(g, 1, 0, 1, True)
-
+    order = _check_order_budget(g, budget)
     n, p = g.n, g.p
-    strides, counts = _cell_arrays(g)
-    moduli = np.array(g.moduli, dtype=np.int64)
     # dot products are bounded by n * p^{2 e_n}; pick representations in
     # which every intermediate stays exact
-    largest = p ** g.e[-1]
+    largest = p ** max(g.e, default=0)
     prod_bound = n * largest * largest
-    if prod_bound < 2**24:
-        mat_dtype: type | None = np.float32
-    elif prod_bound < 2**53:
-        mat_dtype = np.float64
-    else:
-        mat_dtype = None  # exact but slow int64 matmul
+    if prod_bound >= 2**53:
+        # such a cell has at least 2^50 endomorphism x element pairs
+        raise BudgetExceeded(f"cell {g} exceeds the float64 bound of the element kernel")
+    mat_dtype = np.float32 if prod_bound < 2**24 else np.float64
     int_dtype = np.int32 if prod_bound < 2**31 else np.int64
 
     # element table: column k holds the coordinates of element k
-    weights = np.ones(n, dtype=np.int64)
-    for k in range(n - 2, -1, -1):
-        weights[k] = weights[k + 1] * moduli[k + 1]
+    moduli = np.array(g.moduli, dtype=np.int64)
+    weights = _weights(moduli)
     cols = np.arange(order, dtype=np.int64)
     table = (cols[None, :] // weights[:, None]) % moduli[:, None]
-    table_m = table.astype(mat_dtype) if mat_dtype is not None else table
+    table_m = table.astype(mat_dtype)
     table_i = table.astype(int_dtype)
     moduli_i = moduli.astype(int_dtype)
     weights_i = weights.astype(int_dtype)
     low_bits = (moduli - 1).astype(int_dtype)
 
-    sample_at = set(int(v) for v in _sample_indices(total, TRIPLE_SAMPLES))
     mismatches = 0
     samples_checked = 0
     samples_ok = True
 
     chunk = max(1, min(1 << 13, (1 << 23) // max(1, order * n)))
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        mats = _decode(idx, strides, counts, n)
-
+    for mats, positions in _walk(g, total, TRIPLE_SAMPLES, chunk):
         # difference element x - phi(x), encoded in mixed radix; an
         # element is fixed exactly when its code is zero
-        if mat_dtype is not None:
-            diff = np.matmul(mats.astype(mat_dtype), table_m).astype(int_dtype)
-        else:
-            diff = np.matmul(mats, table)
+        diff = np.matmul(mats.astype(mat_dtype), table_m).astype(int_dtype)
         np.subtract(table_i[None], diff, out=diff)
         if p == 2:
             # moduli are powers of two: low bits give the residue
@@ -397,7 +355,7 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
         seen[(codes + offset).reshape(-1)] = True
         image_sizes = seen.reshape(codes.shape[0], order).sum(axis=1)
         if (order % image_sizes).any():
-            raise AssertionError("image size must divide the group order")
+            raise InvariantViolation("image size must divide the group order")
         twisted = order // image_sizes
 
         lattice = p ** _fix_exponents(mats, g, 1)
@@ -405,12 +363,9 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
         mismatches += int((brute != twisted).sum())
         mismatches += int((brute != lattice).sum())
 
-        for gidx in sorted(sample_at):
-            if not (start <= gidx < stop):
-                continue
-            pos = gidx - start
+        samples_checked += len(positions)
+        for pos in positions:
             em = _to_endo(g, mats[pos])
-            samples_checked += 1
             reference = brute_fixed_points(em, budget)
             if reference != int(brute[pos]):
                 samples_ok = False

@@ -7,7 +7,7 @@ verify, atlas.  Groups are described either by cyclic orders
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse error,
 3 invalid type, 4 value outside the spectrum, 5 invalid matrix,
-6 unwritable output path.
+6 unwritable output path, 7 internal error (a failed invariant).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatch,
     GroupSpecError,
     InvalidEndoMatrix,
+    InvariantViolation,
     MatrixFormatError,
     NonPositiveExponent,
     NotAutomorphism,
@@ -61,6 +62,7 @@ EXIT_INVALID_TYPE = 3
 EXIT_OUT_OF_SPECTRUM = 4
 EXIT_INVALID_MATRIX = 5
 EXIT_UNWRITABLE = 6
+EXIT_INTERNAL = 7
 
 BUDGET_ENV = "REIDEMEISTER_BUDGET"
 
@@ -98,27 +100,22 @@ def _parse_ptype(tokens: list[str], default_p: int | None = None) -> PGroupType:
     return next(iter(sylow.values()))
 
 
-def _budget_from_env() -> EnumBudget:
+def _resolve_budget(args: argparse.Namespace) -> EnumBudget:
+    """The defaults, overridden by the environment, then by --max-endos."""
     raw = os.environ.get(BUDGET_ENV, "").strip()
-    if not raw:
-        return DEFAULT_BUDGET
-    parts = raw.split(",")
+    max_endos, max_order = DEFAULT_BUDGET.max_endos, DEFAULT_BUDGET.max_group_order
     try:
-        max_endos = int(parts[0])
-        max_order = int(parts[1]) if len(parts) > 1 else DEFAULT_BUDGET.max_group_order
+        if raw:
+            parts = raw.split(",")
+            max_endos = int(parts[0])
+            max_order = int(parts[1]) if len(parts) > 1 else max_order
+        if args.max_endos is not None:
+            max_endos = args.max_endos
         return EnumBudget(max_endos, max_order)
     except ValueError as exc:
         raise GroupSpecError(
-            f"{BUDGET_ENV} must be 'MAX_ENDOS[,MAX_GROUP_ORDER]', got {raw!r}"
+            f"bad budget ({BUDGET_ENV}='MAX_ENDOS[,MAX_GROUP_ORDER]' or --max-endos): {exc}"
         ) from exc
-
-
-def _resolve_budget(args: argparse.Namespace) -> EnumBudget:
-    budget = _budget_from_env()
-    max_endos = getattr(args, "max_endos", None)
-    if max_endos is not None:
-        budget = EnumBudget(max_endos, budget.max_group_order)
-    return budget
 
 
 # -- rendering --------------------------------------------------------------
@@ -220,7 +217,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     em = witness(g, args.m)
     pi = product_number(em)
     if pi != Factored.prime_power(g.p, args.m):
-        raise AssertionError("witness failed its own product-number check")
+        raise InvariantViolation("witness failed its own product-number check")
     if args.json:
         payload = {
             "group": {"p": g.p, "e": list(g.e)},
@@ -279,29 +276,17 @@ def _closed_forms(g: PGroupType) -> tuple[set[int], set[int], int, int]:
     return set(r_closed.ints()), set(spec_p(g).ints()), lo, hi
 
 
-def _verify_cell(g: PGroupType, budget: EnumBudget) -> dict:
+def _verify_cell(g: PGroupType, budget: EnumBudget) -> tuple[_sweep.CellReport, dict]:
     rep = _sweep.sweep_cell(g, budget)
-    observed = {
-        "endos": rep.endo_count,
-        "autos": rep.auto_count,
-        "r_values": {g.p**v for v in rep.r_exponents},
-        "pi_values": {g.p**v for v in rep.pi_exponents},
-        "pi_lo": rep.pi_min,
-        "pi_hi": rep.pi_max,
-        "violations": rep.structure_violations,
-        "samples_ok": rep.samples_ok,
-    }
     r_closed, pi_closed, lo, hi = _closed_forms(g)
     checks = {
-        "R": observed["r_values"] == r_closed,
-        "Pi": observed["pi_values"] == pi_closed,
-        "bounds": observed["pi_lo"] == lo and observed["pi_hi"] == hi,
-        "structure": observed["violations"] == 0,
-        "samples": observed["samples_ok"],
+        "R": {g.p**v for v in rep.r_exponents} == r_closed,
+        "Pi": {g.p**v for v in rep.pi_exponents} == pi_closed,
+        "bounds": rep.pi_min == lo and rep.pi_max == hi,
+        "structure": rep.structure_violations == 0,
+        "samples": rep.samples_ok,
     }
-    observed["checks"] = checks
-    observed["passed"] = all(checks.values())
-    return observed
+    return rep, checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -326,30 +311,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for g in cells:
         label = f"p={g.p} e={','.join(str(v) for v in g.e)}"
         try:
-            observed = _verify_cell(g, budget)
+            rep, checks = _verify_cell(g, budget)
         except BudgetExceeded as exc:
             skipped += 1
             results.append({"cell": label, "skipped": str(exc)})
             if not args.json:
                 print(f"{label} SKIPPED ({exc})")
             continue
-        checks = observed["checks"]
-        if not observed["passed"]:
+        passed = all(checks.values())
+        if not passed:
             failed += 1
         results.append(
             {
                 "cell": label,
-                "endos": observed["endos"],
-                "autos": observed["autos"],
+                "endos": rep.endo_count,
+                "autos": rep.auto_count,
                 "checks": checks,
-                "passed": observed["passed"],
+                "passed": passed,
             }
         )
         if not args.json:
             flags = " ".join(
                 f"{name}={'ok' if good else 'FAIL'}" for name, good in checks.items()
             )
-            print(f"{label} endos={observed['endos']} autos={observed['autos']} {flags}")
+            print(f"{label} endos={rep.endo_count} autos={rep.auto_count} {flags}")
 
     summary = {
         "cells": len(cells),
@@ -512,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotPrime, NonPositiveExponent, WrongPrime, OutOfRange, ValueError) as exc:
         print(f"invalid type: {exc}", file=sys.stderr)
         return EXIT_INVALID_TYPE
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def console_main() -> None:

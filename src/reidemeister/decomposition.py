@@ -23,6 +23,7 @@ from .endo import EndoMatrix, PGroupType, is_automorphism
 from .errors import (
     DimensionMismatch,
     FullDepth,
+    InvariantViolation,
     NotAutomorphism,
     NotCharacteristic,
     OutOfRange,
@@ -186,7 +187,7 @@ def restrict(em: EndoMatrix, d: Sequence[int]) -> EndoMatrix:
             num = row[j] * p ** d[j]
             den = p ** d[i]
             if num % den:
-                raise AssertionError("conjugated entry is not integral")
+                raise InvariantViolation("conjugated entry is not integral")
             entries.append(num // den)
     return EndoMatrix(sub, IntMatrix(g.n, g.n, tuple(entries)))
 

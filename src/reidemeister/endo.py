@@ -23,6 +23,7 @@ from .errors import (
     GroupMismatch,
     GroupSpecError,
     InvalidEndoMatrix,
+    InvariantViolation,
     NonPositiveExponent,
     NotCoprime,
     NotPrime,
@@ -278,7 +279,7 @@ def fixed_point_count(em: EndoMatrix) -> Factored:
         index //= g.p
         nu += 1
     if index != 1:
-        raise AssertionError("fixed-point index must be a power of p")
+        raise InvariantViolation("fixed-point index must be a power of p")
     return Factored.prime_power(g.p, nu)
 
 

@@ -67,3 +67,7 @@ class BudgetExceeded(ReidemeisterError, RuntimeError):
 
 class GroupSpecError(ReidemeisterError, ValueError):
     """Group description text could not be parsed."""
+
+
+class InvariantViolation(ReidemeisterError, RuntimeError):
+    """An internal consistency check failed: a bug, not bad input."""

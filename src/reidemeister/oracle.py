@@ -25,7 +25,7 @@ from .endo import (
     elements,
     is_automorphism,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .spectra import Spectrum
 
 __all__ = [
@@ -143,7 +143,7 @@ def twisted_class_count(em: EndoMatrix, budget: EnumBudget = DEFAULT_BUDGET) -> 
             tuple((a - b) % m for a, b, m in zip(x.coords, fx.coords, moduli))
         )
     if order % len(image):
-        raise AssertionError("image size must divide the group order")
+        raise InvariantViolation("image size must divide the group order")
     return order // len(image)
 
 

@@ -27,6 +27,7 @@ from .core import Factored, IntMatrix, factorize, is_prime
 from .decomposition import Block, abc_decompose
 from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism, scale
 from .errors import (
+    InvariantViolation,
     NotAutomorphism,
     NotPrime,
     OutOfSpectrum,
@@ -239,7 +240,7 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
         f = tuple(coeffs) + (1,)
         if is_irreducible(f, p):
             return f
-    raise AssertionError("irreducible polynomials exist for every degree")
+    raise InvariantViolation("irreducible polynomials exist for every degree")
 
 
 def companion_matrix(f: Sequence[int]) -> IntMatrix:
@@ -329,7 +330,7 @@ def witness(g: PGroupType, m: int) -> EndoMatrix:
         targets[idx] += take
         extra -= take
     if extra:
-        raise AssertionError(f"exponent {m} left {extra} undistributed over the blocks")
+        raise InvariantViolation(f"exponent {m} left {extra} undistributed over the blocks")
 
     p = g.p
     parts = []

@@ -10,6 +10,7 @@ from reidemeister import (
     reidemeister_number,
     spec_r_abelian,
 )
+from reidemeister import cli
 from reidemeister.cli import main
 from reidemeister.spectra import AbelianGroupType
 
@@ -168,6 +169,13 @@ def test_witness_verified_value(capsys):
     assert payload["pi"]["decimal"] == "27"
 
 
+def test_witness_failed_self_check_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "product_number", lambda em: Factored.one())
+    code, out, err = run(capsys, "witness", "p=2", "e=2,3", "-m", "1")
+    assert code == 7 and out == ""
+    assert err.startswith("internal error: ") and "Traceback" not in err
+
+
 def test_witness_out_of_spectrum_exit(capsys):
     code, _, err = run(capsys, "witness", "p=2", "e=3", "-m", "7")
     assert code == 4 and "out of spectrum" in err
@@ -254,6 +262,14 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("REIDEMEISTER_BUDGET", "not-a-number")
     code, _, err = run(capsys, "verify", "-p", "2", "-e", "1")
     assert code == 2 and "REIDEMEISTER_BUDGET" in err
+
+
+def test_non_positive_budget_is_parse_error(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "-p", "2", "--max-endos", "0")
+    assert code == 2 and err.startswith("parse error: ") and out == ""
+    monkeypatch.setenv("REIDEMEISTER_BUDGET", "0")
+    code, out, err = run(capsys, "verify", "-p", "2")
+    assert code == 2 and err.startswith("parse error: ") and out == ""
 
 
 # -- atlas ------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from reidemeister import (
     spec_r_odd_p,
     twisted_class_count,
 )
-from reidemeister.oracle import DEFAULT_BUDGET
+from reidemeister.oracle import DEFAULT_BUDGET, canonical_parameters
 from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
 from reidemeister import _sweep
 
@@ -212,6 +212,46 @@ def test_triple_check_small_cells():
         assert rep.endo_count == endomorphism_count(g)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_trivial_cell_reports(p):
+    # the trivial group is the n = 0 case of the walk: one empty matrix
+    g = PGroupType(p, ())
+    assert _sweep.sweep_cell(g, DEFAULT_BUDGET) == _sweep.CellReport(
+        group=g,
+        endo_count=1,
+        auto_count=1,
+        r_exponents=frozenset({0}),
+        pi_exponents=frozenset({0}),
+        pi_min=0,
+        pi_max=0,
+        structure_violations=0,
+        samples_checked=1,
+        samples_ok=True,
+    )
+    assert _sweep.triple_check(g, DEFAULT_BUDGET) == _sweep.TripleReport(g, 1, 0, 1, True)
+
+
+def test_samples_survive_chunk_boundaries():
+    # 2^17 endomorphisms: 16 chunks of 8192 in both sweeps
+    g = PGroupType(2, (1, 1, 1, 2))
+    total = endomorphism_count(g)
+    rep = _sweep.sweep_cell(g, DEFAULT_BUDGET)
+    assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.SWEEP_SAMPLES))
+    assert rep.samples_ok
+    rep = _sweep.triple_check(g, DEFAULT_BUDGET)
+    assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.TRIPLE_SAMPLES))
+    assert rep.samples_ok and rep.mismatches == 0
+
+
+def test_triple_check_past_float64_bound_is_over_budget():
+    # n * p^{2E} >= 2^53: over budget before the 2^27-element table is built
+    huge = EnumBudget(max_endos=2**70, max_group_order=2**70)
+    for g in [PGroupType(2, (27,)), PGroupType(2, (1, 26))]:
+        assert _sweep.batchable(g)
+        with pytest.raises(BudgetExceeded, match="float64"):
+            _sweep.triple_check(g, huge)
+
+
 def test_batchable_guard():
     assert _sweep.batchable(PGroupType(2, (5, 5)))
     assert _sweep.batchable(PGroupType(2, ()))
@@ -245,7 +285,7 @@ def test_unbatchable_cell_is_over_budget():
 def test_fix_exponents_matches_fixed_point_count(g):
     # cells the Leibniz-minor engine refused: large entries, or n = 6
     assert _sweep.batchable(g)
-    strides, counts = _sweep._cell_arrays(g)
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     total = endomorphism_count(g)
     idx = np.unique(np.linspace(0, total - 1, 97).astype(np.int64))
     idx = np.concatenate([idx, np.random.default_rng(7).integers(0, total, 60)])

@@ -1,0 +1,23 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import reidemeister
+
+SRC = Path(reidemeister.__file__).parent
+
+
+def test_invariants_do_not_rely_on_assert():
+    # `python -O` strips assert statements; invariant checks raise
+    # InvariantViolation instead, which the CLI maps to its own exit code
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                    found.append(f"{path.name}:{node.lineno} raise AssertionError")
+    assert found == []
