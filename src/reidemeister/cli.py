@@ -103,18 +103,14 @@ def _parse_ptype(tokens: list[str], default_p: int | None = None) -> PGroupType:
 def _resolve_budget(args: argparse.Namespace) -> EnumBudget:
     """The defaults, overridden by the environment, then by --max-endos."""
     raw = os.environ.get(BUDGET_ENV, "").strip()
-    max_endos, max_order = DEFAULT_BUDGET.max_endos, DEFAULT_BUDGET.max_group_order
     try:
-        if raw:
-            parts = raw.split(",")
-            max_endos = int(parts[0])
-            max_order = int(parts[1]) if len(parts) > 1 else max_order
+        max_endos = int(raw) if raw else DEFAULT_BUDGET.max_endos
         if args.max_endos is not None:
             max_endos = args.max_endos
-        return EnumBudget(max_endos, max_order)
+        return EnumBudget(max_endos)
     except ValueError as exc:
         raise GroupSpecError(
-            f"bad budget ({BUDGET_ENV}='MAX_ENDOS[,MAX_GROUP_ORDER]' or --max-endos): {exc}"
+            f"bad budget ({BUDGET_ENV}='MAX_ENDOS' or --max-endos): {exc}"
         ) from exc
 
 

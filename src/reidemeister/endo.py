@@ -13,6 +13,7 @@ mod p^{e_i}, so two matrices are equal iff they induce the same map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -152,23 +153,9 @@ class GroupElement:
 
 
 def elements(g: PGroupType) -> Iterator[GroupElement]:
-    """Iterate every element of the group (lexicographic in coordinates)."""
-    if g.n == 0:
-        yield GroupElement(g, ())
-        return
-    moduli = g.moduli
-    coords = [0] * g.n
-    while True:
-        yield GroupElement(g, tuple(coords))
-        i = g.n - 1
-        while i >= 0:
-            coords[i] += 1
-            if coords[i] < moduli[i]:
-                break
-            coords[i] = 0
-            i -= 1
-        if i < 0:
-            return
+    """Iterate every element of the group, last coordinate varies fastest."""
+    for coords in product(*map(range, g.moduli)):
+        yield GroupElement(g, coords)
 
 
 def _divisibility_ok(g: PGroupType, m: IntMatrix) -> bool:

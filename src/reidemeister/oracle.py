@@ -3,7 +3,8 @@
 Endomorphisms are enumerated through their canonical parameterization:
 entry (i, j) ranges over p^{max(0, e_i - e_j)} * t with
 t in [0, p^{min(e_i, e_j)}), one representative per endomorphism, in
-lexicographic order of the row-major parameter vector.  Fixed points
+lexicographic order of the row-major parameter vector: the last
+coordinate varies fastest, as in ``elements``.  Fixed points
 and twisted classes are counted at the element level, independently of
 the lattice-index shortcut they validate.
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator
 
 from .core import Factored, IntMatrix
@@ -84,26 +86,14 @@ def _check_endo_budget(g: PGroupType, budget: EnumBudget) -> int:
 def enumerate_endomorphisms(
     g: PGroupType, budget: EnumBudget = DEFAULT_BUDGET
 ) -> Iterator[EndoMatrix]:
-    """Yield one canonical matrix per endomorphism, lexicographically."""
+    """Yield one canonical matrix per endomorphism, lexicographically in
+    the row-major parameter vector (last coordinate varies fastest)."""
     _check_endo_budget(g, budget)
     n = g.n
-    if n == 0:
-        yield EndoMatrix(g, IntMatrix(0, 0, ()))
-        return
     strides, counts = canonical_parameters(g)
-    params = [0] * (n * n)
-    while True:
+    for params in product(*map(range, counts)):
         entries = tuple(s * t for s, t in zip(strides, params))
         yield EndoMatrix(g, IntMatrix(n, n, entries))
-        k = n * n - 1
-        while k >= 0:
-            params[k] += 1
-            if params[k] < counts[k]:
-                break
-            params[k] = 0
-            k -= 1
-        if k < 0:
-            return
 
 
 def enumerate_automorphisms(

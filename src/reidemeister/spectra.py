@@ -21,6 +21,7 @@ least b + c of the Sylow-2 type.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .core import Factored, IntMatrix, factorize, is_prime
@@ -196,14 +197,9 @@ def _poly_rem(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
 
 
 def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    count = p**degree
-    for k in range(count):
-        coeffs = []
-        v = k
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        yield tuple(coeffs) + (1,)
+    # ascending in (c_{degree-1}, ..., c_0), the last varying fastest
+    for high_first in product(range(p), repeat=degree):
+        yield high_first[::-1] + (1,)
 
 
 def is_irreducible(f: Sequence[int], p: int) -> bool:
@@ -229,15 +225,7 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    for k in range(p**n):
-        # base-p digits of k, least significant first, give (c_0, ..., c_{n-1});
-        # ascending k then orders candidates by (c_{n-1}, ..., c_0)
-        coeffs = []
-        v = k
-        for _ in range(n):
-            coeffs.append(v % p)
-            v //= p
-        f = tuple(coeffs) + (1,)
+    for f in _monic_polys(p, n):
         if is_irreducible(f, p):
             return f
     raise InvariantViolation("irreducible polynomials exist for every degree")

@@ -259,9 +259,10 @@ def test_budget_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "-p", "2", "-e", "2,3")
     assert code == 0
     assert "SKIPPED" in out
-    monkeypatch.setenv("REIDEMEISTER_BUDGET", "not-a-number")
-    code, _, err = run(capsys, "verify", "-p", "2", "-e", "1")
-    assert code == 2 and "REIDEMEISTER_BUDGET" in err
+    for bad in ("not-a-number", "64,1"):
+        monkeypatch.setenv("REIDEMEISTER_BUDGET", bad)
+        code, _, err = run(capsys, "verify", "-p", "2", "-e", "1")
+        assert code == 2 and "REIDEMEISTER_BUDGET='MAX_ENDOS'" in err
 
 
 def test_non_positive_budget_is_parse_error(capsys, monkeypatch):

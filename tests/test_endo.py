@@ -77,6 +77,11 @@ def test_elements_count():
     g = PGroupType(2, (1, 2))
     assert sum(1 for _ in elements(g)) == 8
     assert [x.coords for x in elements(PGroupType(3, ()))] == [()]
+    # last coordinate varies fastest: sorted and distinct
+    g = PGroupType(3, (1, 2))
+    coords = [x.coords for x in elements(g)]
+    assert len(coords) == len(set(coords)) == g.order
+    assert coords == sorted(coords)
 
 
 # -- membership and normal form ----------------------------------------------

@@ -58,6 +58,20 @@ def test_enumeration_is_lexicographic():
     assert first == sorted(first)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [PGroupType(2, ()), PGroupType(3, (1, 2)), PGroupType(2, (1, 1, 3)), PGroupType(5, (2,))],
+    ids=str,
+)
+def test_decode_matches_enumeration_order(g):
+    # the numpy decoder and the per-object reference define one order
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
+    total = endomorphism_count(g)
+    mats = _sweep._decode(np.arange(total, dtype=np.int64), strides, counts, g.n)
+    decoded = [tuple(int(v) for v in mat.ravel()) for mat in mats]
+    assert decoded == [em.m.entries for em in enumerate_endomorphisms(g)]
+
+
 def test_enumerate_automorphism_counts():
     assert sum(1 for _ in enumerate_automorphisms(PGroupType(2, (1, 1)))) == 6
     assert sum(1 for _ in enumerate_automorphisms(PGroupType(3, (1,)))) == 2
@@ -202,6 +216,24 @@ def test_sweep_cell_matches_direct_statistics():
     assert rep.pi_min == min(pi_direct) and rep.pi_max == max(pi_direct)
     assert rep.structure_violations == 0
     assert rep.samples_ok
+
+
+def _hillar_rhea_aut_count(g: PGroupType) -> int:
+    # Hillar & Rhea, Amer. Math. Monthly 2007, Thm 4.1 (1-based indices)
+    p, e, n = g.p, g.e, g.n
+    count = 1
+    for k, ek in enumerate(e, start=1):
+        hi = n - e[::-1].index(ek)  # max{l : e_l = e_k}
+        lo = e.index(ek) + 1  # min{l : e_l = e_k}
+        count *= (p**hi - p ** (k - 1)) * p ** (ek * (n - hi)) * p ** ((ek - 1) * (n - lo + 1))
+    return count
+
+
+def test_auto_count_matches_hillar_rhea():
+    cells = [g for p in (2, 3, 5) for g in iter_types(p, max_endos=2**16)]
+    assert len(cells) == 91
+    for g in cells:
+        assert _sweep.sweep_cell(g, DEFAULT_BUDGET).auto_count == _hillar_rhea_aut_count(g), g
 
 
 def test_triple_check_small_cells():

@@ -185,12 +185,38 @@ def test_find_irreducible_no_roots_and_no_low_degree_factor():
             assert is_irreducible(f, p)
 
 
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _first_irreducible_by_sieve(p, n):
+    # monics(d) lists every monic of degree d by explicit digits; a reducible
+    # monic of degree n is a product of two monics of lower positive degree
+    def monics(d):
+        return [tuple((k // p**i) % p for i in range(d)) + (1,) for k in range(p**d)]
+
+    reducible = {
+        _poly_mul(f, g, p) for d in range(1, n // 2 + 1) for f in monics(d) for g in monics(n - d)
+    }
+    candidates = sorted(monics(n), key=lambda f: f[::-1])
+    return next(f for f in candidates if f not in reducible)
+
+
 def test_find_irreducible_is_lexicographically_first():
     # over Z/2, degree 3: candidates below x^3+x+1 all have a root
     f = find_irreducible(2, 3)
     assert f == (1, 1, 0, 1)
     # x^3+x^2+1 is also irreducible but lexicographically later
     assert is_irreducible((1, 0, 1, 1), 2)
+    # the first monic, by reversed coefficients, that no product of two
+    # lower-degree monics reaches
+    for p in (2, 3, 5):
+        for n in (2, 3, 4):
+            assert find_irreducible(p, n) == _first_irreducible_by_sieve(p, n), (p, n)
 
 
 def test_companion_matrix_forms():
