@@ -29,17 +29,13 @@ from .decomposition import (
 )
 from .endo import (
     EndoMatrix,
-    GroupElement,
     PGroupType,
     apply,
-    compose,
     elements,
     fixed_point_count,
-    induced_mod_p,
     is_automorphism,
     is_valid_endo,
     parse_type_spec,
-    reidemeister_cyclic,
     reidemeister_number,
     scale,
     validate_type,
@@ -48,7 +44,6 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     FullDepth,
-    GroupMismatch,
     GroupSpecError,
     InvalidEndoMatrix,
     InvariantViolation,

@@ -22,7 +22,11 @@ empty matrix).  Per chunk, ``sweep_cell`` evaluates:
 
 ``triple_check`` counts the fixed points of every endomorphism by brute
 force and by the image of x - phi(x), both as float matmuls over an
-element table, and by the lattice index above.
+element table, and by the lattice index above.  This element kernel is
+memory-bound, so its chunk is min(8192, 2^19 // (order * n)): each
+(chunk, n, order) intermediate then holds at most 2^19 entries, 2 MiB
+as float32 or int32, the size of a typical per-core L2 cache.  Chunks of
+2^23 entries, 32 MiB each, made the kernel 1.3-1.4x slower.
 
 All arithmetic stays exact: ``batchable`` holds the int64 bounds under
 which no intermediate can overflow, and the element kernel needs its
@@ -335,7 +339,7 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
     samples_checked = 0
     samples_ok = True
 
-    chunk = max(1, min(1 << 13, (1 << 23) // max(1, order * n)))
+    chunk = max(1, min(1 << 13, (1 << 19) // max(1, order * n)))
     for mats, positions in _walk(g, total, TRIPLE_SAMPLES, chunk):
         # difference element x - phi(x), encoded in mixed radix; an
         # element is fixed exactly when its code is zero

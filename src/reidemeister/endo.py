@@ -21,7 +21,6 @@ from .core import Factored, IntMatrix, is_prime, lattice_index
 from .core import det_mod_p as _det_mod_p
 from .errors import (
     DimensionMismatch,
-    GroupMismatch,
     GroupSpecError,
     InvalidEndoMatrix,
     InvariantViolation,
@@ -33,17 +32,13 @@ from .errors import (
 __all__ = [
     "PGroupType",
     "EndoMatrix",
-    "GroupElement",
     "validate_type",
     "is_valid_endo",
     "is_automorphism",
     "apply",
-    "compose",
     "scale",
     "fixed_point_count",
     "reidemeister_number",
-    "reidemeister_cyclic",
-    "induced_mod_p",
     "elements",
     "parse_type_spec",
     "format_type_spec",
@@ -126,36 +121,10 @@ def format_type_spec(g: PGroupType) -> str:
     return f"p={g.p} e={','.join(str(v) for v in g.e)}"
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """Coordinate vector with coordinate i reduced mod p^{e_i}."""
-
-    group: PGroupType
-    coords: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        coords = tuple(int(v) for v in self.coords)
-        if len(coords) != self.group.n:
-            raise DimensionMismatch(
-                f"expected {self.group.n} coordinates, got {len(coords)}"
-            )
-        moduli = self.group.moduli
-        object.__setattr__(
-            self, "coords", tuple(v % m for v, m in zip(coords, moduli))
-        )
-
-    @classmethod
-    def zero(cls, group: PGroupType) -> GroupElement:
-        return cls(group, (0,) * group.n)
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coords)
-
-
-def elements(g: PGroupType) -> Iterator[GroupElement]:
-    """Iterate every element of the group, last coordinate varies fastest."""
-    for coords in product(*map(range, g.moduli)):
-        yield GroupElement(g, coords)
+def elements(g: PGroupType) -> Iterator[tuple[int, ...]]:
+    """Iterate the coordinate tuple of every element of the group,
+    coordinate i in range(p^{e_i}); the last coordinate varies fastest."""
+    return product(*map(range, g.moduli))
 
 
 def _divisibility_ok(g: PGroupType, m: IntMatrix) -> bool:
@@ -217,22 +186,15 @@ def is_automorphism(em: EndoMatrix) -> bool:
     return _det_mod_p(em.m, em.group.p) != 0
 
 
-def apply(em: EndoMatrix, x: GroupElement) -> GroupElement:
-    if x.group != em.group:
-        raise GroupMismatch(f"element of {x.group} fed to map on {em.group}")
+def apply(em: EndoMatrix, x: tuple[int, ...]) -> tuple[int, ...]:
+    """Image of the coordinate tuple x, coordinate i reduced mod p^{e_i}."""
     g = em.group
-    coords = tuple(
-        sum(a * b for a, b in zip(em.m.row(i), x.coords))
-        for i in range(g.n)
+    if len(x) != g.n:
+        raise DimensionMismatch(f"expected {g.n} coordinates, got {len(x)}")
+    return tuple(
+        sum(a * b for a, b in zip(em.m.row(i), x)) % m
+        for i, m in enumerate(g.moduli)
     )
-    return GroupElement(g, coords)
-
-
-def compose(outer: EndoMatrix, inner: EndoMatrix) -> EndoMatrix:
-    """Matrix of outer . inner (apply inner first)."""
-    if outer.group != inner.group:
-        raise GroupMismatch("cannot compose maps on different groups")
-    return EndoMatrix(outer.group, outer.m @ inner.m)
 
 
 def scale(em: EndoMatrix, i: int) -> EndoMatrix:
@@ -273,23 +235,3 @@ def fixed_point_count(em: EndoMatrix) -> Factored:
 def reidemeister_number(em: EndoMatrix) -> Factored:
     """Number of twisted conjugacy classes; equals fixed_point_count."""
     return fixed_point_count(em)
-
-
-def reidemeister_cyclic(k: int, p: int, n: int) -> Factored:
-    """Twisted class count of 1 -> k on Z/p^n, i.e. gcd(k - 1, p^n)."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n < 0:
-        raise NonPositiveExponent(f"exponent must be >= 0, got {n}")
-    g = gcd(k - 1, p**n)
-    nu = 0
-    while g % p == 0:
-        g //= p
-        nu += 1
-    return Factored.prime_power(p, nu)
-
-
-def induced_mod_p(em: EndoMatrix) -> IntMatrix:
-    """Matrix of the induced map on P/pP: entrywise reduction mod p."""
-    p = em.group.p
-    return em.m.map_entries(lambda v: v % p)

@@ -29,10 +29,6 @@ class InvalidEndoMatrix(ReidemeisterError, ValueError):
     """Matrix violates the divisibility constraints of the endomorphism ring."""
 
 
-class GroupMismatch(ReidemeisterError, ValueError):
-    """Element and endomorphism belong to different groups."""
-
-
 class NotCoprime(ReidemeisterError, ValueError):
     """Scaling factor must be coprime to the group's prime."""
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 from typing import Iterator
 
 from .core import Factored, IntMatrix
 from .endo import (
     EndoMatrix,
     PGroupType,
-    apply,
     elements,
     is_automorphism,
 )
@@ -116,22 +116,27 @@ def _check_order_budget(g: PGroupType, budget: EnumBudget) -> int:
 
 def brute_fixed_points(em: EndoMatrix, budget: EnumBudget = DEFAULT_BUDGET) -> int:
     """Count fixed points by applying the map to every group element."""
-    _check_order_budget(em.group, budget)
-    return sum(1 for x in elements(em.group) if apply(em, x) == x)
+    g = em.group
+    _check_order_budget(g, budget)
+    rows = [(em.m.row(i), m) for i, m in enumerate(g.moduli)]
+    return sum(
+        1
+        for x in elements(g)
+        if all(sum(map(mul, row, x)) % m == xi for (row, m), xi in zip(rows, x))
+    )
 
 
 def twisted_class_count(em: EndoMatrix, budget: EnumBudget = DEFAULT_BUDGET) -> int:
     """Count twisted conjugacy classes as |P| / |im(Id - phi)|, with the
     image collected by applying x -> x - phi(x) to every element."""
-    order = _check_order_budget(em.group, budget)
     g = em.group
-    moduli = g.moduli
-    image = set()
-    for x in elements(g):
-        fx = apply(em, x)
-        image.add(
-            tuple((a - b) % m for a, b, m in zip(x.coords, fx.coords, moduli))
-        )
+    order = _check_order_budget(g, budget)
+    # row i of Id - M: x - phi(x) is one matrix-vector product
+    rows = [
+        (tuple(int(i == j) - a for j, a in enumerate(em.m.row(i))), m)
+        for i, m in enumerate(g.moduli)
+    ]
+    image = {tuple(sum(map(mul, row, x)) % m for row, m in rows) for x in elements(g)}
     if order % len(image):
         raise InvariantViolation("image size must divide the group order")
     return order // len(image)

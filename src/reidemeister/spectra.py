@@ -202,15 +202,55 @@ def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
         yield high_first[::-1] + (1,)
 
 
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return _poly_rem(out, f, p)
+
+
+def _trimmed(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _x_power_minus_x(f: Sequence[int], p: int, k: int) -> list[int]:
+    """x^{p^k} - x mod the monic f, without trailing zero coefficients."""
+    h = [0, 1]
+    for _ in range(k):
+        power, base, e = [1], h, p
+        while e:
+            if e & 1:
+                power = _poly_mulmod(power, base, f, p)
+            base = _poly_mulmod(base, base, f, p)
+            e >>= 1
+        h = power
+    diff = h + [0] * (2 - len(h))
+    diff[1] -= 1
+    return _trimmed(_poly_rem(diff, f, p))
+
+
 def is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg(f)/2."""
+    """Rabin's test for f of degree n over Z/p, made monic first:
+    x^{p^n} = x mod f, and gcd(x^{p^{n/q}} - x, f) = 1 for every prime
+    q dividing n.  The leading coefficient must be a unit mod p."""
     degree = len(f) - 1
     if degree < 1:
         return False
-    for d in range(1, degree // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not any(_poly_rem(f, g, p)):
-                return False
+    inv = pow(f[-1], -1, p)
+    f = [v * inv % p for v in f]
+    if _x_power_minus_x(f, p, degree):
+        return False
+    for q in factorize(degree):
+        a, b = f, _x_power_minus_x(f, p, degree // q)
+        while b:  # Euclid over Z/p; a ends as the monic gcd
+            inv = pow(b[-1], -1, p)
+            a, b = [v * inv % p for v in b], a
+            b = _trimmed(_poly_rem(b, a, p))
+        if len(a) > 1:
+            return False
     return True
 
 

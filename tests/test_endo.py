@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +8,6 @@ from reidemeister import (
     DimensionMismatch,
     EndoMatrix,
     Factored,
-    GroupElement,
-    GroupMismatch,
     IntMatrix,
     InvalidEndoMatrix,
     NonPositiveExponent,
@@ -15,14 +15,11 @@ from reidemeister import (
     NotPrime,
     PGroupType,
     apply,
-    compose,
     elements,
     fixed_point_count,
-    induced_mod_p,
     is_automorphism,
     is_valid_endo,
     parse_matrix,
-    reidemeister_cyclic,
     reidemeister_number,
     scale,
     validate_type,
@@ -32,6 +29,11 @@ from reidemeister.endo import format_type_spec, parse_type_spec
 
 def brute_fix(em):
     return sum(1 for x in elements(em.group) if apply(em, x) == x)
+
+
+def gcd_fix(k, p, n):
+    # fixed points of 1 -> k on Z/p^n: the x with (k - 1) x = 0, gcd(k - 1, p^n) many
+    return math.gcd(k - 1, p**n)
 
 
 # -- types -------------------------------------------------------------------
@@ -65,21 +67,13 @@ def test_type_spec_roundtrip():
     assert parse_type_spec("p=5 e=") == PGroupType(5, ())
 
 
-def test_group_element_normalizes():
-    g = PGroupType(2, (2, 3))
-    x = GroupElement(g, (-1, 9))
-    assert x.coords == (3, 1)
-    with pytest.raises(DimensionMismatch):
-        GroupElement(g, (1,))
-
-
 def test_elements_count():
     g = PGroupType(2, (1, 2))
     assert sum(1 for _ in elements(g)) == 8
-    assert [x.coords for x in elements(PGroupType(3, ()))] == [()]
+    assert list(elements(PGroupType(3, ()))) == [()]
     # last coordinate varies fastest: sorted and distinct
     g = PGroupType(3, (1, 2))
-    coords = [x.coords for x in elements(g)]
+    coords = list(elements(g))
     assert len(coords) == len(set(coords)) == g.order
     assert coords == sorted(coords)
 
@@ -121,29 +115,29 @@ def test_is_automorphism_examples():
 
 def test_apply_identity():
     g = PGroupType(2, (2, 3))
-    x = GroupElement(g, (1, 5))
-    assert apply(EndoMatrix.identity(g), x) == x
+    assert apply(EndoMatrix.identity(g), (1, 5)) == (1, 5)
 
 
 def test_apply_known_fixed_point():
     g = PGroupType(2, (2, 3))
     em = EndoMatrix(g, parse_matrix("1,1;2,1"))
-    x = GroupElement(g, (0, 4))
-    assert apply(em, x) == x
+    assert apply(em, (0, 4)) == (0, 4)
 
 
 def test_apply_cyclic():
     g = PGroupType(2, (3,))
     em = EndoMatrix(g, parse_matrix("3"))
-    assert apply(em, GroupElement(g, (5,))).coords == (7,)
+    assert apply(em, (5,)) == (7,)
 
 
-def test_apply_group_mismatch():
-    with pytest.raises(GroupMismatch):
-        apply(
-            EndoMatrix.identity(PGroupType(2, (1,))),
-            GroupElement(PGroupType(3, (1,)), (0,)),
-        )
+def test_apply_reduces_coordinates():
+    g = PGroupType(2, (2, 3))
+    assert apply(EndoMatrix.identity(g), (-1, 9)) == (3, 1)
+
+
+def test_apply_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        apply(EndoMatrix.identity(PGroupType(2, (2, 3))), (1,))
 
 
 def test_scale():
@@ -170,7 +164,7 @@ def test_compose_respects_apply(data):
         )
         ems.append(EndoMatrix(g, IntMatrix(2, 2, entries)))
     a, b = ems
-    ab = compose(a, b)
+    ab = EndoMatrix(g, a.m @ b.m)
     for x in elements(g):
         assert apply(ab, x) == apply(a, apply(b, x))
 
@@ -214,26 +208,13 @@ def test_fixed_point_count_trivial_group():
 
 
 def test_reidemeister_cyclic_examples():
-    assert reidemeister_cyclic(3, 2, 3).to_int() == 2
-    assert reidemeister_cyclic(1, 5, 2).to_int() == 25
+    # the cyclic maps 1 -> p^m + 1 of the witnesses fix p^m elements
     for p in (2, 3, 5):
         for n in range(1, 5):
+            g = PGroupType(p, (n,))
             for m in range(0, n + 1):
-                assert reidemeister_cyclic(p**m + 1, p, n).to_int() == p**m
-
-
-def test_reidemeister_cyclic_validation():
-    with pytest.raises(NotPrime):
-        reidemeister_cyclic(3, 6, 2)
-
-
-def test_induced_mod_p():
-    em = EndoMatrix(PGroupType(2, (2, 3)), parse_matrix("1,1;2,1"))
-    assert induced_mod_p(em).to_rows() == [[1, 1], [0, 1]]
-    g = PGroupType(3, (1, 2))
-    assert induced_mod_p(EndoMatrix.identity(g)).to_rows() == [[1, 0], [0, 1]]
-    em = EndoMatrix(g, parse_matrix("2,1;3,4"))
-    assert induced_mod_p(em).to_rows() == [[2, 1], [0, 1]]
+                em = EndoMatrix(g, IntMatrix(1, 1, (p**m + 1,)))
+                assert reidemeister_number(em).to_int() == gcd_fix(p**m + 1, p, n) == p**m
 
 
 # -- exhaustive invariants on small groups -------------------------------------
@@ -267,7 +248,7 @@ def test_automorphism_iff_bijective(g):
     from reidemeister import enumerate_endomorphisms
 
     for em in enumerate_endomorphisms(g):
-        image = {apply(em, x).coords for x in elements(g)}
+        image = {apply(em, x) for x in elements(g)}
         assert is_automorphism(em) == (len(image) == g.order)
 
 
@@ -276,4 +257,4 @@ def test_cyclic_fixed_points_match_gcd_formula():
         g = PGroupType(p, (n,))
         for k in range(p**n):
             em = EndoMatrix(g, IntMatrix(1, 1, (k,)))
-            assert fixed_point_count(em) == reidemeister_cyclic(k, p, n)
+            assert fixed_point_count(em).to_int() == gcd_fix(k, p, n)

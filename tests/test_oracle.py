@@ -13,7 +13,6 @@ from reidemeister import (
     enumerate_automorphisms,
     enumerate_endomorphisms,
     fixed_point_count,
-    induced_mod_p,
     is_valid_endo,
     iter_partitions,
     iter_types,
@@ -116,6 +115,30 @@ def test_twisted_class_count_examples():
     assert twisted_class_count(EndoMatrix(g, parse_matrix("5"))) == 4
 
 
+def _meshgrid_counts(em):
+    # fixed points and distinct x - phi(x), from one numpy product over a
+    # meshgrid of every element
+    g = em.group
+    moduli = np.array(g.moduli, dtype=np.int64)
+    grid = np.meshgrid(*[np.arange(m) for m in g.moduli], indexing="ij")
+    x = np.stack([axis.reshape(-1) for axis in grid])
+    y = (np.array(em.m.to_rows(), dtype=np.int64) @ x) % moduli[:, None]
+    fixed = int((y == x).all(axis=0).sum())
+    image = np.unique((x - y) % moduli[:, None], axis=1).shape[1]
+    return fixed, image
+
+
+@pytest.mark.parametrize(
+    "g", [PGroupType(2, (1, 2)), PGroupType(3, (1, 1)), PGroupType(2, (1, 1, 2))], ids=str
+)
+def test_element_loops_match_meshgrid(g):
+    for em in enumerate_endomorphisms(g):
+        fixed, image = _meshgrid_counts(em)
+        assert brute_fixed_points(em) == fixed
+        assert twisted_class_count(em) == g.order // image
+        assert fixed * image == g.order
+
+
 def test_triple_agreement_exhaustive_small():
     for g in [PGroupType(2, (1, 2)), PGroupType(3, (1, 1)), PGroupType(2, (2,))]:
         for em in enumerate_endomorphisms(g):
@@ -171,7 +194,8 @@ def test_quotient_monotonicity():
     for g in [PGroupType(2, (1, 2)), PGroupType(2, (1, 3)), PGroupType(3, (1, 2))]:
         ones = PGroupType(g.p, (1,) * g.n)
         for em in enumerate_automorphisms(g):
-            induced = EndoMatrix(ones, induced_mod_p(em))
+            # the induced map on P/pP: entrywise reduction mod p
+            induced = EndoMatrix(ones, em.m.map_entries(lambda v: v % g.p))
             assert (
                 reidemeister_number(induced).to_int()
                 <= reidemeister_number(em).to_int()
@@ -263,14 +287,29 @@ def test_trivial_cell_reports(p):
     assert _sweep.triple_check(g, DEFAULT_BUDGET) == _sweep.TripleReport(g, 1, 0, 1, True)
 
 
-def test_samples_survive_chunk_boundaries():
-    # 2^17 endomorphisms: 16 chunks of 8192 in both sweeps
+def test_samples_survive_chunk_boundaries(monkeypatch):
+    # 2^17 endomorphisms of a group of order 32: 16 chunks of 8192 in
+    # sweep_cell, and 2^19 // (32 * 4) = 4096 per chunk, so 32 chunks, in
+    # triple_check
     g = PGroupType(2, (1, 1, 1, 2))
     total = endomorphism_count(g)
-    rep = _sweep.sweep_cell(g, DEFAULT_BUDGET)
+    chunks = []
+    walk = _sweep._walk
+
+    def counting_walk(*args):
+        for item in walk(*args):
+            chunks.append(len(item[0]))
+            yield item
+
+    monkeypatch.setattr(_sweep, "_walk", counting_walk)
+    # __wrapped__ skips the lru_cache, so the walk really runs
+    rep = _sweep.sweep_cell.__wrapped__(g, DEFAULT_BUDGET)
+    assert chunks == [8192] * 16
     assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.SWEEP_SAMPLES))
     assert rep.samples_ok
-    rep = _sweep.triple_check(g, DEFAULT_BUDGET)
+    chunks.clear()
+    rep = _sweep.triple_check.__wrapped__(g, DEFAULT_BUDGET)
+    assert chunks == [4096] * 32
     assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.TRIPLE_SAMPLES))
     assert rep.samples_ok and rep.mismatches == 0
 

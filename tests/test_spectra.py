@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import pytest
 
 from reidemeister import (
@@ -219,6 +222,43 @@ def test_find_irreducible_is_lexicographically_first():
             assert find_irreducible(p, n) == _first_irreducible_by_sieve(p, n), (p, n)
 
 
+def _irreducible_by_trial_division(f, p):
+    # no monic of degree 1..deg(f)/2 divides f
+    degree = len(f) - 1
+    if degree < 1:
+        return False
+    for d in range(1, degree // 2 + 1):
+        for high_first in itertools.product(range(p), repeat=d):
+            g = high_first[::-1] + (1,)
+            rem = list(f)
+            for i in range(degree, d - 1, -1):
+                c = rem[i] % p
+                for j in range(d + 1):
+                    rem[i - d + j] -= c * g[j]
+            if not any(v % p for v in rem[:d]):
+                return False
+    return True
+
+
+def test_is_irreducible_matches_trial_division():
+    # every polynomial of degree <= 6 over Z/2 and Z/3 with a unit leading
+    # coefficient, the monic ones included
+    for p in (2, 3):
+        for degree in range(7):
+            for low in itertools.product(range(p), repeat=degree):
+                for lead in range(1, p):
+                    f = low + (lead,)
+                    assert is_irreducible(f, p) == _irreducible_by_trial_division(f, p), (f, p)
+
+
+def test_find_irreducible_large_degree_is_fast():
+    # trial division would try up to 7^8 monic divisors per candidate
+    start = time.perf_counter()
+    f = find_irreducible(7, 16)
+    assert time.perf_counter() - start < 5
+    assert len(f) == 17 and f[-1] == 1 and is_irreducible(f, 7)
+
+
 def test_companion_matrix_forms():
     assert companion_matrix((1, 1, 1)).to_rows() == [[0, -1], [1, -1]]
     assert companion_matrix((-1, 1)).to_rows() == [[1]]
@@ -316,7 +356,7 @@ def test_witness_abelian_fixed_point_free():
     em = parts[2]
     assert em.m.to_rows() == [[0, 1], [1, 1]]  # companion of x^2+x+1 mod 2
     fixed = [x for x in elements(em.group) if apply(em, x) == x]
-    assert len(fixed) == 1 and fixed[0].is_zero()
+    assert fixed == [(0, 0)]
 
 
 def test_witness_abelian_combined_count():
