@@ -53,6 +53,7 @@ from .errors import (
     NotCharacteristic,
     NotCoprime,
     NotPrime,
+    NumberTooLarge,
     OutOfRange,
     OutOfSpectrum,
     RankDeficient,

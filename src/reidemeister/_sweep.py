@@ -4,9 +4,14 @@ The verification suites walk every canonical endomorphism of a cell
 (p, e), about 10^6 in the larger cells: far too many to build one
 EndoMatrix at a time.  One generator, ``_walk``, decodes the indices in
 numpy chunks for both sweeps; the trivial group is its case n = 0 (one
-empty matrix).  Per chunk, ``sweep_cell`` evaluates:
+empty matrix).  A chunk holds p^K indices from a multiple of p^K; every
+parameter count is a power of p, so the digits of start and offset never
+meet, and a chunk is the first one, decoded once, plus the decoded start.
+Per chunk, ``sweep_cell`` evaluates:
 
-* invertibility mod p (batched Leibniz determinants of n x n matrices),
+* invertibility mod p.  p | M_ij when e_i > e_j, so mod p M is block
+  upper triangular over the runs of equal exponents (Hillar and Rhea,
+  Amer. Math. Monthly 2007): one Leibniz determinant per diagonal block,
 * fixed-point counts of every unit multiple k*M.  |Fix| is the index of
   the column lattice of [kM - I | diag(p^{e_i})].  Scaling row i by
   p^{E - e_i}, with E = e_n, turns the block into [N | p^E I], so the
@@ -17,16 +22,16 @@ empty matrix).  Per chunk, ``sweep_cell`` evaluates:
   valuation, clear its column with the inverse-free row operation
   u*row_i - (a_ic / p^v)*row_r, where u is the pivot's unit part, and
   drop the pivot row and column,
-* validity, invertibility and mod-p column structure of the matrices
-  conjugated by diag(p^{d_i}) for the depth vector d(e).
+* validity, invertibility (runs of e - d) and mod-p column structure
+  of the matrices conjugated by diag(p^{d_i}) for the depth vector d(e).
 
 ``triple_check`` counts the fixed points of every endomorphism by brute
 force and by the image of x - phi(x), both as float matmuls over an
 element table, and by the lattice index above.  This element kernel is
-memory-bound, so its chunk is min(8192, 2^19 // (order * n)): each
-(chunk, n, order) intermediate then holds at most 2^19 entries, 2 MiB
-as float32 or int32, the size of a typical per-core L2 cache.  Chunks of
-2^23 entries, 32 MiB each, made the kernel 1.3-1.4x slower.
+memory-bound, so its chunk is min(8192, 2^19 // (order * n)) rounded down
+to a power of p: each (chunk, n, order) intermediate then holds at most
+2^19 entries, 2 MiB as float32 or int32, a typical per-core L2 cache.
+Chunks of 2^23 entries, 32 MiB each, made the kernel 1.3-1.4x slower.
 
 All arithmetic stays exact: ``batchable`` holds the int64 bounds under
 which no intermediate can overflow, and the element kernel needs its
@@ -134,6 +139,16 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     return (gathered.prod(axis=2) * signs).sum(axis=1)
 
 
+def _invertible_mod_p(mats: np.ndarray, exps, p: int) -> np.ndarray:
+    """Per matrix: invertible mod p, given p | M_ij when exps[i] > exps[j]."""
+    exps = np.asarray(exps)
+    ok = np.ones(mats.shape[0], dtype=bool)
+    for v in np.unique(exps):
+        idx = np.flatnonzero(exps == v)
+        ok &= _batch_det(mats[:, idx[:, None], idx] % p) % p != 0
+    return ok
+
+
 def _weights(radices) -> np.ndarray:
     """Place values of a mixed-radix number whose last digit varies fastest."""
     weights = np.ones(len(radices), dtype=np.int64)
@@ -204,7 +219,8 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
             gap = int(sub_e[i] - sub_e[j])
             if gap > 0:
                 ok &= conjugated[:, i, j] % p**gap == 0
-    ok &= _batch_det(conjugated % p) % p != 0
+    # d(e) is characteristic, so sub_e is nondecreasing and the loop above gives p | M_ij
+    ok &= _invertible_mod_p(conjugated, sub_e, p)
     for blk in dec.blocks:
         if blk.kind == "a":
             continue
@@ -229,17 +245,21 @@ def _to_endo(g: PGroupType, mat: np.ndarray) -> EndoMatrix:
 
 
 def _walk(
-    g: PGroupType, total: int, quota: int, chunk: int
+    g: PGroupType, total: int, quota: int, cap: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Decode all ``total`` canonical endomorphisms of g, ``chunk`` at a
-    time, in index order.  Yields (mats, positions): the (B, n, n) chunk
-    and the rows of it that ``_sample_indices(total, quota)`` selects."""
+    """Decode all ``total`` canonical endomorphisms of g in index order, in
+    chunks of the largest power of p up to ``cap`` and ``total``.  Yields
+    (mats, positions): the (B, n, n) chunk and the rows of it that
+    ``_sample_indices(total, quota)`` selects."""
     strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     samples = _sample_indices(total, quota)
+    chunk = 1
+    while chunk * g.p <= min(cap, total):
+        chunk *= g.p
+    inner = _decode(np.arange(chunk, dtype=np.int64), strides, counts, g.n)
     for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        mats = _decode(np.arange(start, stop, dtype=np.int64), strides, counts, g.n)
-        lo, hi = np.searchsorted(samples, (start, stop))
+        mats = inner + _decode(np.array([start], dtype=np.int64), strides, counts, g.n)
+        lo, hi = np.searchsorted(samples, (start, start + chunk))
         yield mats, samples[lo:hi] - start
 
 
@@ -256,7 +276,7 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
 
     chunk = max(1, min(1 << 13, (1 << 22) // max(1, math.factorial(g.n) * g.n)))
     for mats, positions in _walk(g, total, SWEEP_SAMPLES, chunk):
-        amask = _batch_det(mats % p) % p != 0
+        amask = _invertible_mod_p(mats, g.e, p)
         autos = mats[amask]
         auto_count += int(amask.sum())
         if autos.shape[0]:

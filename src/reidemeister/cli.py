@@ -6,8 +6,9 @@ verify, atlas.  Groups are described either by cyclic orders
 (``p=2 e=2,3``).  Matrices use the ``;``/``,`` text format.
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse error,
-3 invalid type, 4 value outside the spectrum, 5 invalid matrix,
-6 unwritable output path, 7 internal error (a failed invariant).
+3 invalid type (also a number whose primality is past the proven
+bound of ``core.is_prime``), 4 value outside the spectrum, 5 invalid
+matrix, 6 unwritable output path, 7 internal error (a failed invariant).
 """
 
 from __future__ import annotations

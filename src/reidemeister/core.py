@@ -13,13 +13,15 @@ separated by ``;`` and entries by ``,`` (whitespace is ignored), e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
+from itertools import count
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import (
     DimensionMismatch,
     MatrixFormatError,
     NotPrime,
+    NumberTooLarge,
     RankDeficient,
 )
 
@@ -33,41 +35,94 @@ __all__ = [
     "format_matrix",
     "is_prime",
     "factorize",
+    "PRIMALITY_LIMIT",
 ]
 
 
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases"
+# (Math. Comp. 2017): the least strong pseudoprime to all of the first 13
+# prime bases, so Miller-Rabin with them is exact below it
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
+    """Deterministic Miller-Rabin with the first 13 prime bases.  Raises
+    NumberTooLarge for n >= PRIMALITY_LIMIT without a factor <= 41."""
     if n < 2:
         return False
-    if n < 4:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    if n >= PRIMALITY_LIMIT:
+        raise NumberTooLarge(f"{n} is at or above the proven primality bound {PRIMALITY_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
 
+def _pollard_brent(n: int) -> int:
+    """A proper factor of a composite n with no prime factor <= 41, by
+    Brent's variant of Pollard's rho ("An improved Monte Carlo
+    factorization algorithm", BIT 1980), with x -> x^2 + c from x = 2."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product hit 0 mod n; step back one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}."""
+    """Prime factorization of a positive integer as {prime: exponent},
+    primes ascending: trial division by the primes up to 41, then
+    Miller-Rabin and Pollard-Brent on the cofactors (see is_prime for
+    the bound)."""
     if n < 1:
         raise ValueError(f"cannot factorize non-positive integer {n}")
     out: dict[int, int] = {}
-    for p in (2, 3):
+    for p in _MR_BASES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 5
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            pending += [d, m // d]
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)

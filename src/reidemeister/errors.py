@@ -21,6 +21,10 @@ class NotPrime(ReidemeisterError, ValueError):
     """A prime number was required."""
 
 
+class NumberTooLarge(ReidemeisterError, ValueError):
+    """An integer lies at or above the bound where primality is proven."""
+
+
 class NonPositiveExponent(ReidemeisterError, ValueError):
     """Group type exponents must be >= 1."""
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from reidemeister import (
     EndoMatrix,
@@ -10,6 +14,7 @@ from reidemeister import (
     reidemeister_number,
     spec_r_abelian,
 )
+import reidemeister
 from reidemeister import cli
 from reidemeister.cli import main
 from reidemeister.spectra import AbelianGroupType
@@ -96,6 +101,29 @@ def test_spectrum_parse_and_type_errors(capsys):
     assert code == 3 and "invalid type" in err
     code, _, err = run(capsys, "spectrum", "1,4")
     assert code == 3
+
+
+def test_spectrum_of_large_orders_ends_quickly():
+    # trial division to sqrt(n) did not end on these; a subprocess with a
+    # timeout fails instead of hanging
+    env = {**os.environ, "PYTHONPATH": str(Path(reidemeister.__file__).parents[1])}
+    cases = {
+        "1000000000000000003": "1 1000000000000000003",
+        "1000000016000000063": "1 1000000007 1000000009 1000000016000000063",
+    }
+    for order, expected in cases.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "reidemeister", "spectrum", order],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
+
+
+def test_spectrum_past_primality_bound_is_invalid_type(capsys):
+    code, out, err = run(capsys, "spectrum", str(2**89 - 1))
+    assert code == 3 and out == ""
+    assert "proven primality bound" in err
 
 
 # -- pi-spectrum --------------------------------------------------------------

@@ -8,6 +8,7 @@ from reidemeister import (
     IntMatrix,
     MatrixFormatError,
     NotPrime,
+    NumberTooLarge,
     RankDeficient,
     det_mod_p,
     format_matrix,
@@ -15,9 +16,24 @@ from reidemeister import (
     parse_matrix,
     smith_invariants,
 )
+from reidemeister.core import PRIMALITY_LIMIT, factorize, is_prime
 
 
 # -- independent oracles -----------------------------------------------------
+
+
+def trial_division(n):
+    """Factorization by trial division up to sqrt(n)."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def hermite_index(rows):
@@ -334,3 +350,39 @@ def test_factored_validation():
 def test_factored_hashable_set_member():
     values = {Factored.from_int(4), Factored({2: 2}), Factored.from_int(6)}
     assert len(values) == 2
+
+
+# -- primality and factorization -----------------------------------------------
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 10**5 + 1):
+        got = factorize(n)
+        assert got == trial_division(n), n
+        assert list(got) == sorted(got)
+        assert is_prime(n) == (got == {n: 1})
+
+
+def test_miller_rabin_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the prime bases up to 7, up to 37, and the
+    # Carmichael number 561
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(561)
+    psi_12 = 318665857834031151167461
+    assert not is_prime(psi_12)
+    assert factorize(psi_12) == {399165290221: 1, 798330580441: 1}
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+    assert factorize((10**9 + 7) * (10**9 + 9) * 4) == {2: 2, 10**9 + 7: 1, 10**9 + 9: 1}
+
+
+def test_primality_bound_is_explicit():
+    # the least strong pseudoprime to the first 13 prime bases
+    assert PRIMALITY_LIMIT == 3317044064679887385961981
+    with pytest.raises(NumberTooLarge):
+        is_prime(PRIMALITY_LIMIT)
+    with pytest.raises(NumberTooLarge):
+        factorize(2**89 - 1)
+    # a small factor still decides, and is divided out first
+    assert not is_prime(PRIMALITY_LIMIT * 2)
+    assert factorize(2**200 * 3) == {2: 200, 3: 1}

@@ -13,6 +13,7 @@ from reidemeister import (
     enumerate_automorphisms,
     enumerate_endomorphisms,
     fixed_point_count,
+    is_automorphism,
     is_valid_endo,
     iter_partitions,
     iter_types,
@@ -287,12 +288,50 @@ def test_trivial_cell_reports(p):
     assert _sweep.triple_check(g, DEFAULT_BUDGET) == _sweep.TripleReport(g, 1, 0, 1, True)
 
 
-def test_samples_survive_chunk_boundaries(monkeypatch):
-    # 2^17 endomorphisms of a group of order 32: 16 chunks of 8192 in
-    # sweep_cell, and 2^19 // (32 * 4) = 4096 per chunk, so 32 chunks, in
-    # triple_check
-    g = PGroupType(2, (1, 1, 1, 2))
+@pytest.mark.parametrize(
+    "g",
+    [
+        PGroupType(2, ()),
+        PGroupType(2, (17,)),
+        PGroupType(3, (1, 2)),
+        PGroupType(3, (1, 1, 2)),
+        PGroupType(5, (1, 1)),
+        PGroupType(2, (1, 1, 1, 2)),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("cap", [10, 8192])
+def test_walk_is_carry_free(g, cap):
+    # each chunk is the first one plus its decoded start; concatenated,
+    # the chunks must be the plain decode of every index
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     total = endomorphism_count(g)
+    samples = _sweep._sample_indices(total, _sweep.SWEEP_SAMPLES)
+    size = max(g.p**k for k in range(64) if g.p**k <= min(cap, total))
+    chunks, start = [], 0
+    for mats, positions in _sweep._walk(g, total, _sweep.SWEEP_SAMPLES, cap):
+        stop = start + len(mats)
+        assert len(mats) == size
+        assert positions.tolist() == [v - start for v in samples if start <= v < stop]
+        chunks.append(mats)
+        start = stop
+    assert start == total
+    expected = _sweep._decode(np.arange(total, dtype=np.int64), strides, counts, g.n)
+    assert np.array_equal(np.concatenate(chunks), expected)
+
+
+def test_samples_survive_chunk_boundaries(monkeypatch):
+    # a chunk is the largest power of p up to the sweep's cap and the
+    # endomorphism count.  sweep_cell caps it at 8192 for n <= 4, and
+    # triple_check at min(8192, 2^19 // (order * n)).  p=2 e=1,1,1,2:
+    # 2^17 endomorphisms of a group of order 32, so 16 chunks of 8192 and
+    # 32 of 2^19 // 128 = 4096.  p=3 e=1,1,2: 3^10 endomorphisms of a
+    # group of order 81, so 9 chunks of 3^8 = 6561 and, under the cap
+    # 2^19 // 243 = 2157, 81 chunks of 3^6 = 729
+    cases = [
+        (PGroupType(2, (1, 1, 1, 2)), [8192] * 16, [4096] * 32),
+        (PGroupType(3, (1, 1, 2)), [6561] * 9, [729] * 81),
+    ]
     chunks = []
     walk = _sweep._walk
 
@@ -302,16 +341,58 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
             yield item
 
     monkeypatch.setattr(_sweep, "_walk", counting_walk)
-    # __wrapped__ skips the lru_cache, so the walk really runs
-    rep = _sweep.sweep_cell.__wrapped__(g, DEFAULT_BUDGET)
-    assert chunks == [8192] * 16
-    assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.SWEEP_SAMPLES))
-    assert rep.samples_ok
-    chunks.clear()
-    rep = _sweep.triple_check.__wrapped__(g, DEFAULT_BUDGET)
-    assert chunks == [4096] * 32
-    assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.TRIPLE_SAMPLES))
-    assert rep.samples_ok and rep.mismatches == 0
+    for g, sweep_chunks, triple_chunks in cases:
+        total = endomorphism_count(g)
+        chunks.clear()
+        # __wrapped__ skips the lru_cache, so the walk really runs
+        rep = _sweep.sweep_cell.__wrapped__(g, DEFAULT_BUDGET)
+        assert chunks == sweep_chunks
+        assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.SWEEP_SAMPLES))
+        assert rep.samples_ok
+        chunks.clear()
+        rep = _sweep.triple_check.__wrapped__(g, DEFAULT_BUDGET)
+        assert chunks == triple_chunks
+        assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.TRIPLE_SAMPLES))
+        assert rep.samples_ok and rep.mismatches == 0
+
+
+def _full_det_invertible(mats, exps, p):
+    # reference: the n x n determinant mod p, ignoring the block structure
+    return _sweep._batch_det(mats % p) % p != 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        PGroupType(2, (1, 1, 2, 2)),
+        PGroupType(2, (1, 1, 1, 2)),
+        PGroupType(2, (1, 2, 3)),
+        PGroupType(3, (1, 1, 2)),
+        PGroupType(3, (2, 2)),
+    ],
+    ids=str,
+)
+def test_run_block_invertibility_matches_full_determinant(g, monkeypatch):
+    # every canonical endomorphism against the full determinant, and an
+    # even spread of 2^14 (all of them in the smaller cells) against the
+    # per-object is_automorphism.  _structure_ok sees every matrix, not
+    # just the automorphisms, so that its invertibility test can fail
+    total = endomorphism_count(g)
+    blocks, full, structure, structure_full = [], [], [], []
+    for mats, positions in _sweep._walk(g, total, 2**14, 8192):
+        amask = _sweep._invertible_mod_p(mats, g.e, g.p)
+        blocks.append(amask)
+        full.append(_full_det_invertible(mats, g.e, g.p))
+        for pos in positions:
+            assert bool(amask[pos]) == is_automorphism(_sweep._to_endo(g, mats[pos]))
+        structure.append(_sweep._structure_ok(mats, g))
+        with monkeypatch.context() as m:
+            m.setattr(_sweep, "_invertible_mod_p", _full_det_invertible)
+            structure_full.append(_sweep._structure_ok(mats, g))
+    assert np.array_equal(np.concatenate(blocks), np.concatenate(full))
+    structure = np.concatenate(structure)
+    assert np.array_equal(structure, np.concatenate(structure_full))
+    assert structure.any() and not structure.all()
 
 
 def test_triple_check_past_float64_bound_is_over_budget():
