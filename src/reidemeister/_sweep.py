@@ -33,14 +33,23 @@ to a power of p: each (chunk, n, order) intermediate then holds at most
 2^19 entries, 2 MiB as float32 or int32, a typical per-core L2 cache.
 Chunks of 2^23 entries, 32 MiB each, made the kernel 1.3-1.4x slower.
 
-All arithmetic stays exact: ``batchable`` holds the int64 bounds under
-which no intermediate can overflow, and the element kernel needs its
-dot products below 2^53.  Cells outside these bounds raise
-BudgetExceeded like cells over the enumeration budget.  A deterministic
-sample of endomorphisms from every cell is re-checked through the plain
-per-object APIs (fixed_point_count, product_number, restrict,
-column_structure_check, brute_fixed_points, twisted_class_count), so
-the batched results stay anchored to the reference implementations.
+All arithmetic stays exact.  Every entry of a stack is below p^E, and
+every intermediate of the stages below p^{2E} in absolute value
+(p^{E+1} when n = 1, which has no elimination).  ``_walk`` decodes in
+int64 and yields int32 stacks when that bound is below 2^31, int64
+stacks otherwise; every stage keeps its operands at the stack's dtype,
+and only ``_batch_det`` accumulates its mod-p products in int64.
+``batchable`` holds the int64 bounds, and the element kernel needs its
+dot products below 2^53; cells outside these bounds raise
+BudgetExceeded like cells over the enumeration budget.  Every reduction
+is ``_reduce``, a - (a // m) * m for a Python-int scalar m: numpy
+divides by a scalar with a multiply and shift (Granlund and Montgomery,
+PLDI 1994) but runs ``%`` as one hardware division per element, about
+ten times slower.  A deterministic sample of endomorphisms from every
+cell is re-checked through the plain per-object APIs
+(fixed_point_count, product_number, restrict, column_structure_check,
+brute_fixed_points, twisted_class_count), so the batched results stay
+anchored to the reference implementations.
 """
 
 from __future__ import annotations
@@ -72,14 +81,30 @@ SWEEP_SAMPLES = 48  # per-object re-checks per sweep_cell
 TRIPLE_SAMPLES = 24  # per-object re-checks per triple_check
 
 
+def _product_bound(g: PGroupType) -> int:
+    """Bound on |x| for every intermediate of the stages on a stack: the
+    products of the elimination stay below p^{2E}.  With n = 1 there is
+    no elimination and the largest product is the unit scaling k*M < p^{E+1}."""
+    largest = g.p ** max(g.e, default=0)
+    return largest * (largest if g.n > 1 else g.p)
+
+
 def batchable(g: PGroupType) -> bool:
     """True when every intermediate of the batched pipeline fits int64:
     the endomorphism indices that _decode splits, and the products of
-    the elimination, which stay below p^{2E}.  With n = 1 there is no
-    elimination and the largest product is the unit scaling k*M < p^{E+1}."""
-    largest = g.p ** max(g.e, default=0)
-    product = largest * (largest if g.n > 1 else g.p)
-    return product < _INT64_SAFE and endomorphism_count(g) < _INT64_SAFE
+    the stages."""
+    return _product_bound(g) < _INT64_SAFE and endomorphism_count(g) < _INT64_SAFE
+
+
+def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a mod m for a Python int m > 0, as a - (a // m) * m; see the module
+    docstring.  (a // m) * m lies in (a - m, a], and with |a| < p^{2E},
+    m <= p^E it keeps the stack's dtype: p^{2E} + p^E < 2^31 whenever
+    p^{2E} < 2^31.  Writes into ``out`` when given, which must be a
+    temporary of the caller, never a view of its input."""
+    q = a // m
+    q *= m
+    return np.subtract(a, q, out=out)
 
 
 def _check_cell(g: PGroupType, budget) -> int:
@@ -131,12 +156,13 @@ def _perm_data(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batch_det(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (B, n, n) int64 stack (caller bounds entries)."""
+    """Exact determinants of a (B, n, n) integer stack, in int64 (caller
+    bounds entries)."""
     n = mats.shape[1]
     perms, signs = _perm_data(n)
     rows = np.arange(n, dtype=np.int64)[None, :]
     gathered = mats[:, rows, perms]  # (B, n!, n)
-    return (gathered.prod(axis=2) * signs).sum(axis=1)
+    return (gathered.prod(axis=2, dtype=np.int64) * signs).sum(axis=1)
 
 
 def _invertible_mod_p(mats: np.ndarray, exps, p: int) -> np.ndarray:
@@ -145,7 +171,9 @@ def _invertible_mod_p(mats: np.ndarray, exps, p: int) -> np.ndarray:
     ok = np.ones(mats.shape[0], dtype=bool)
     for v in np.unique(exps):
         idx = np.flatnonzero(exps == v)
-        ok &= _batch_det(mats[:, idx[:, None], idx] % p) % p != 0
+        block = mats[:, idx[:, None], idx]  # a copy, reduced in place
+        _reduce(block, p, out=block)
+        ok &= _reduce(_batch_det(block), p) != 0
     return ok
 
 
@@ -168,17 +196,17 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier: int) -> np.ndarr
     n, p = g.n, g.p
     top_exp = max(g.e, default=0)
     top = p**top_exp
-    scale = top // np.array(g.moduli, dtype=np.int64)
+    scale = top // np.array(g.moduli, dtype=mats.dtype)
     # reducing row i mod p^{e_i} and then scaling it by p^{E - e_i} is
     # the same as scaling first and reducing mod p^E
     work = mats * (multiplier * scale)[None, :, None]
     work -= np.diag(scale)
-    work %= top
+    _reduce(work, top, out=work)
     batch = mats.shape[0]
     rows = np.arange(batch)
     # gcd(a, p^E) = p^{min(v(a), E)}; used rows and columns are zero, so
     # they hold p^E and are never chosen while a live entry is smaller
-    pivots = np.empty((batch, n), dtype=np.int64)
+    pivots = np.empty((batch, n), dtype=mats.dtype)
     for step in range(n):
         flat = work.reshape(batch, n * n)
         gcds = np.gcd(flat, top)
@@ -194,8 +222,8 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier: int) -> np.ndarr
         # clears column c everywhere, the pivot row included
         work *= unit[:, None, None]
         work -= factors[:, :, None] * pivot_row[:, None, :]
-        work %= top
-    powers = p ** np.arange(top_exp + 1, dtype=np.int64)
+        _reduce(work, top, out=work)
+    powers = p ** np.arange(top_exp + 1, dtype=mats.dtype)
     shift = sum(top_exp - v for v in g.e)
     return np.searchsorted(powers, pivots).sum(axis=1) - shift
 
@@ -208,7 +236,7 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
     p = g.p
     dec = abc_decompose(g)
     depths = np.array(dec.d, dtype=np.int64)
-    p_d = np.array([p**int(v) for v in dec.d], dtype=np.int64)
+    p_d = np.array([p**int(v) for v in dec.d], dtype=mats.dtype)
     sub_e = np.array(g.e, dtype=np.int64) - depths
     conjugated = mats * p_d[None, None, :]
     conjugated //= p_d[None, :, None]
@@ -218,14 +246,14 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
         for j in range(i):
             gap = int(sub_e[i] - sub_e[j])
             if gap > 0:
-                ok &= conjugated[:, i, j] % p**gap == 0
+                ok &= _reduce(conjugated[:, i, j], p**gap) == 0
     # d(e) is characteristic, so sub_e is nondecreasing and the loop above gives p | M_ij
     ok &= _invertible_mod_p(conjugated, sub_e, p)
     for blk in dec.blocks:
         if blk.kind == "a":
             continue
         j = blk.start
-        col = conjugated[:, :, j] % p
+        col = _reduce(conjugated[:, :, j], p)
         diag_entry = col[:, j].copy()
         col[:, j] = 0
         ok &= (diag_entry != 0) & ~col.any(axis=1)
@@ -249,16 +277,18 @@ def _walk(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Decode all ``total`` canonical endomorphisms of g in index order, in
     chunks of the largest power of p up to ``cap`` and ``total``.  Yields
-    (mats, positions): the (B, n, n) chunk and the rows of it that
+    (mats, positions): the (B, n, n) chunk, int32 when every intermediate
+    of the stages fits it and int64 otherwise, and the rows of it that
     ``_sample_indices(total, quota)`` selects."""
     strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
+    dtype = np.int32 if _product_bound(g) < 2**31 else np.int64
     samples = _sample_indices(total, quota)
     chunk = 1
     while chunk * g.p <= min(cap, total):
         chunk *= g.p
-    inner = _decode(np.arange(chunk, dtype=np.int64), strides, counts, g.n)
+    inner = _decode(np.arange(chunk, dtype=np.int64), strides, counts, g.n).astype(dtype)
     for start in range(0, total, chunk):
-        mats = inner + _decode(np.array([start], dtype=np.int64), strides, counts, g.n)
+        mats = inner + _decode(np.array([start], dtype=np.int64), strides, counts, g.n).astype(dtype)
         lo, hi = np.searchsorted(samples, (start, start + chunk))
         yield mats, samples[lo:hi] - start
 
@@ -351,7 +381,6 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
     table = (cols[None, :] // weights[:, None]) % moduli[:, None]
     table_m = table.astype(mat_dtype)
     table_i = table.astype(int_dtype)
-    moduli_i = moduli.astype(int_dtype)
     weights_i = weights.astype(int_dtype)
     low_bits = (moduli - 1).astype(int_dtype)
 
@@ -369,7 +398,8 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
             # moduli are powers of two: low bits give the residue
             diff &= low_bits[None, :, None]
         else:
-            np.mod(diff, moduli_i[None, :, None], out=diff)
+            for i, m in enumerate(g.moduli):
+                _reduce(diff[:, i], m, out=diff[:, i])
         codes = np.einsum("bnq,n->bq", diff, weights_i)
         brute = (codes == 0).sum(axis=1)
 

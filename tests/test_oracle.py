@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidemeister import (
     BudgetExceeded,
@@ -27,6 +29,7 @@ from reidemeister import (
     spec_r_odd_p,
     twisted_class_count,
 )
+from reidemeister.decomposition import abc_decompose
 from reidemeister.oracle import DEFAULT_BUDGET, canonical_parameters
 from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
 from reidemeister import _sweep
@@ -447,6 +450,116 @@ def test_fix_exponents_matches_fixed_point_count(g):
         for mat, exp in zip(mats, batched):
             em = scale(_sweep._to_endo(g, mat), k)
             assert fixed_point_count(em).nu(g.p) == exp
+
+
+def _dtype_id(value):
+    return value.__name__ if isinstance(value, type) else str(value)
+
+
+@pytest.mark.parametrize(
+    "g, dtype",
+    [
+        # int32 exactly when p^{2E} < 2^31: 2^30 and 3^18 fit, 2^32 and 3^20 do not
+        (PGroupType(2, (1, 15)), np.int32),
+        (PGroupType(2, (1, 16)), np.int64),
+        (PGroupType(3, (1, 9)), np.int32),
+        (PGroupType(3, (1, 10)), np.int64),
+    ],
+    ids=_dtype_id,
+)
+def test_stages_are_exact_on_both_sides_of_the_int32_rule(g, dtype):
+    # every stage on an even spread of the walk's own rows, at its dtype,
+    # against the per-object routes
+    total = endomorphism_count(g)
+    rows = []
+    for mats, positions in _sweep._walk(g, total, 160, 8192):
+        assert mats.dtype == dtype
+        rows.append(mats[positions])
+    mats = np.concatenate(rows)
+    assert len(mats) == 160
+    ems = [_sweep._to_endo(g, mat) for mat in mats]
+    amask = _sweep._invertible_mod_p(mats, g.e, g.p)
+    assert amask.tolist() == [is_automorphism(em) for em in ems]
+    assert amask.any() and not amask.all()
+    for k in range(1, g.p):
+        exps = _sweep._fix_exponents(mats, g, k)
+        assert exps.tolist() == [fixed_point_count(scale(em, k)).nu(g.p) for em in ems]
+    dec = abc_decompose(g)
+    structure = _sweep._structure_ok(mats, g)
+    assert structure.tolist() == [_sweep._reference_structure_ok(em, dec) for em in ems]
+    assert structure.any() and not structure.all()
+
+
+def test_block_determinants_accumulate_in_int64():
+    # p = 2053: p^2 < 2^31 gives int32 stacks, but a Leibniz product of
+    # three residues reaches (p - 1)^3 > 2^32
+    g = PGroupType(2053, (1, 1, 1))
+    mats = np.random.default_rng(11).integers(0, g.p, (64, 3, 3)).astype(np.int32)
+    mats[0] = g.p - 1
+    mats[1] = np.eye(3, dtype=np.int32) * (g.p - 1)
+    assert _sweep._batch_det(mats[:2]).tolist() == [0, (g.p - 1) ** 3]
+    amask = _sweep._invertible_mod_p(mats, g.e, g.p)
+    assert amask.tolist() == [is_automorphism(_sweep._to_endo(g, m)) for m in mats]
+
+
+RAISED_BUDGET = EnumBudget(max_endos=2**25, max_group_order=2**14)
+P7_CELLS = [PGroupType(7, e) for e in [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "g, dtype",
+    [(g, np.int32) for g in P7_CELLS]
+    # the smallest p = 7 cell past the int32 rule, e = (1, 6), has 7^9
+    # endomorphisms; p = 3 e = 1,10 covers the int64 side
+    + [(PGroupType(3, (1, 10)), np.int64), (PGroupType(2, (1,) * 5), np.int32)],
+    ids=_dtype_id,
+)
+def test_sweep_cell_beyond_the_default_cells(g, dtype):
+    assert next(_sweep._walk(g, 1, 1, 1))[0].dtype == dtype
+    rep = _sweep.sweep_cell(g, RAISED_BUDGET)
+    closed = spec_r_2group(g) if g.p == 2 else spec_r_odd_p(g)
+    assert oracle_spectrum(g, budget=RAISED_BUDGET) == closed
+    assert oracle_spectrum(g, use_pi=True, budget=RAISED_BUDGET) == spec_p(g)
+    assert rep.auto_count == _hillar_rhea_aut_count(g)
+    dec = abc_decompose(g)
+    assert (rep.pi_min, rep.pi_max) == (dec.floor_exponent, g.total_exponent)
+    assert rep.structure_violations == 0 and rep.samples_ok
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "g",
+    # at most 2^30 endomorphism x element pairs each
+    [g for g in P7_CELLS if endomorphism_count(g) * g.order <= 2**30] + [PGroupType(2, (1,) * 5)],
+    ids=str,
+)
+def test_triple_check_beyond_the_default_cells(g):
+    rep = _sweep.triple_check(g, RAISED_BUDGET)
+    assert rep.endo_count == endomorphism_count(g)
+    assert rep.mismatches == 0 and rep.samples_ok
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_reduce_matches_np_mod(data):
+    # operands as the stages make them: |a| <= p^{2E}, modulus p^k with k <= E
+    dtype, limit = data.draw(st.sampled_from([(np.int32, 2**31), (np.int64, 2**62)]))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 46337]))
+    top_exp = data.draw(st.integers(1, max(v for v in range(1, 64) if p ** (2 * v) < limit)))
+    big = p ** (2 * top_exp)
+    m = p ** data.draw(st.integers(1, top_exp))
+    rows = data.draw(st.integers(1, 8))
+    values = data.draw(st.lists(st.integers(-big, big - 1), min_size=rows * 3, max_size=rows * 3))
+    arr = np.array(values, dtype=dtype).reshape(rows, 3)
+    before = arr.copy()
+    column = _sweep._reduce(arr[:, 1], m)
+    assert column.dtype == dtype
+    assert np.array_equal(column, np.mod(before[:, 1], m))
+    assert np.array_equal(arr, before)  # the view's base is untouched
+    owned = arr.copy()
+    assert _sweep._reduce(owned, m, out=owned) is owned
+    assert np.array_equal(owned, np.mod(before, m))
 
 
 # -- partitions and type iteration ----------------------------------------------------
