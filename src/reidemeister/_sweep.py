@@ -239,7 +239,9 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
     p_d = np.array([p**int(v) for v in dec.d], dtype=mats.dtype)
     sub_e = np.array(g.e, dtype=np.int64) - depths
     conjugated = mats * p_d[None, None, :]
-    conjugated //= p_d[None, :, None]
+    for i, d in enumerate(dec.d):
+        if d:  # by a Python-int scalar: see the module docstring
+            conjugated[:, i, :] //= p**d
 
     ok = np.ones(mats.shape[0], dtype=bool)
     for i in range(n):

@@ -7,8 +7,10 @@ verify, atlas.  Groups are described either by cyclic orders
 
 Exit codes: 0 success, 1 verification mismatch, 2 parse error,
 3 invalid type (also a number whose primality is past the proven
-bound of ``core.is_prime``), 4 value outside the spectrum, 5 invalid
-matrix, 6 unwritable output path, 7 internal error (a failed invariant).
+bound of ``core.is_prime``, or a value too large to print in decimal),
+4 value outside the spectrum, 5 invalid matrix, 6 unwritable output
+path, 7 internal error (any failure that is not one of the above).
+Codes 2-5 and 7 are the ``exit_code`` of the error class raised.
 """
 
 from __future__ import annotations
@@ -20,30 +22,17 @@ import os
 import sys
 
 from . import _sweep
-from .core import Factored, factorize, format_matrix, parse_matrix
+from .core import Factored, decimal, factorize, format_matrix, parse_matrix
 from .decomposition import abc_decompose, block_notation
 from .endo import (
     EndoMatrix,
     PGroupType,
-    is_automorphism,
+    parse_exponents,
     parse_type_spec,
     reidemeister_number,
     validate_type,
 )
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    GroupSpecError,
-    InvalidEndoMatrix,
-    InvariantViolation,
-    MatrixFormatError,
-    NonPositiveExponent,
-    NotAutomorphism,
-    NotPrime,
-    OutOfRange,
-    OutOfSpectrum,
-    WrongPrime,
-)
+from .errors import BudgetExceeded, GroupSpecError, InvariantViolation, ReidemeisterError
 from .oracle import DEFAULT_BUDGET, EnumBudget, iter_partitions, iter_types
 from .spectra import (
     AbelianGroupType,
@@ -58,12 +47,7 @@ from .spectra import (
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
-EXIT_PARSE = 2
-EXIT_INVALID_TYPE = 3
-EXIT_OUT_OF_SPECTRUM = 4
-EXIT_INVALID_MATRIX = 5
 EXIT_UNWRITABLE = 6
-EXIT_INTERNAL = 7
 
 BUDGET_ENV = "REIDEMEISTER_BUDGET"
 
@@ -118,24 +102,36 @@ def _resolve_budget(args: argparse.Namespace) -> EnumBudget:
 # -- rendering --------------------------------------------------------------
 
 
+def _emit(args: argparse.Namespace, payload: dict, text: str) -> int:
+    """Print a command's whole answer at once: the payload with --json,
+    the text otherwise."""
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
+    return EXIT_OK
+
+
 def _factored_json(v: Factored) -> dict:
     return {
-        "decimal": str(v.to_int()),
+        "decimal": decimal(v),
         "factorization": {str(p): k for p, k in v.factorization.items()},
     }
 
 
 def _render_count(v: Factored) -> str:
-    n = v.to_int()
-    return "1" if n == 1 else f"{n} = {v}"
+    return "1" if v == Factored.one() else f"{decimal(v)} = {v}"
 
 
 def _group_json(a: AbelianGroupType) -> dict:
+    # every number here divides the order, the spectrum's largest value
+    # (R(id) = |A|), so printing the spectrum in decimal checks them all
     return {
         "orders": list(a.primary_orders()),
         "order": a.order,
         "sylow": {str(p): list(g.e) for p, g in a.sylow().items()},
     }
+
+
+def _ptype_json(g: PGroupType) -> dict:
+    return {"p": g.p, "e": list(g.e)}
 
 
 def _witness_texts(per_prime: dict[int, EndoMatrix]) -> dict[str, str]:
@@ -147,66 +143,46 @@ def _witness_texts(per_prime: dict[int, EndoMatrix]) -> dict[str, str]:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     group = _parse_group(args.group)
-    spectrum = spec_r_abelian(group)
-    values = spectrum.sorted_values()
-    witnesses = None
+    values = spec_r_abelian(group).sorted_values()
+    entries = [_factored_json(v) for v in values]
+    lines = [" ".join(entry["decimal"] for entry in entries)]
     if args.witnesses:
-        witnesses = {v: _witness_texts(witness_abelian(group, v)) for v in values}
-    if args.json:
-        payload = {"group": _group_json(group), "values": []}
-        for v in values:
-            entry = _factored_json(v)
-            if witnesses is not None:
-                entry["witness"] = witnesses[v]
-            payload["values"].append(entry)
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(" ".join(str(v.to_int()) for v in values))
-        if witnesses is not None:
-            for v in values:
-                pairs = " ".join(f"{p}={m}" for p, m in witnesses[v].items())
-                print(f"witness {v.to_int()}: {pairs}")
-    return EXIT_OK
+        for v, entry in zip(values, entries):
+            entry["witness"] = _witness_texts(witness_abelian(group, v))
+            pairs = " ".join(f"{p}={m}" for p, m in entry["witness"].items())
+            lines.append(f"witness {entry['decimal']}: {pairs}")
+    payload = {"group": _group_json(group), "values": entries}
+    return _emit(args, payload, "\n".join(lines))
 
 
 def cmd_pi_spectrum(args: argparse.Namespace) -> int:
     g = _parse_ptype(args.group)
-    spectrum = spec_p(g)
-    if args.json:
-        payload = {
-            "group": {"p": g.p, "e": list(g.e)},
-            "values": [_factored_json(v) for v in spectrum.sorted_values()],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(" ".join(str(v) for v in spectrum.ints()))
-    return EXIT_OK
+    entries = [_factored_json(v) for v in spec_p(g).sorted_values()]
+    payload = {"group": _ptype_json(g), "values": entries}
+    return _emit(args, payload, " ".join(entry["decimal"] for entry in entries))
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _parse_ptype(args.group, default_p=2)
     dec = abc_decompose(g)
-    if args.json:
-        payload = {
-            "e": list(g.e),
-            "blocks": [
-                {"kind": blk.kind, "start": blk.start, "values": list(blk.values)}
-                for blk in dec.blocks
-            ],
-            "a": dec.a,
-            "b": dec.b,
-            "c": dec.c,
-            "d": list(dec.d),
-            "sigma": g.total_exponent,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        d_text = ",".join(str(v) for v in dec.d)
-        print(
-            f"{block_notation(dec)} a={dec.a} b={dec.b} c={dec.c} "
-            f"d={d_text} sigma={g.total_exponent}"
-        )
-    return EXIT_OK
+    payload = {
+        "e": list(g.e),
+        "blocks": [
+            {"kind": blk.kind, "start": blk.start, "values": list(blk.values)}
+            for blk in dec.blocks
+        ],
+        "a": dec.a,
+        "b": dec.b,
+        "c": dec.c,
+        "d": list(dec.d),
+        "sigma": g.total_exponent,
+    }
+    d_text = ",".join(str(v) for v in dec.d)
+    text = (
+        f"{block_notation(dec)} a={dec.a} b={dec.b} c={dec.c} "
+        f"d={d_text} sigma={g.total_exponent}"
+    )
+    return _emit(args, payload, text)
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -215,52 +191,27 @@ def cmd_witness(args: argparse.Namespace) -> int:
     pi = product_number(em)
     if pi != Factored.prime_power(g.p, args.m):
         raise InvariantViolation("witness failed its own product-number check")
-    if args.json:
-        payload = {
-            "group": {"p": g.p, "e": list(g.e)},
-            "m": args.m,
-            "matrix": format_matrix(em.m),
-            "pi": _factored_json(pi),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(format_matrix(em.m))
-        print(f"Pi={pi.to_int()}")
-    return EXIT_OK
+    matrix = format_matrix(em.m)
+    payload = {"group": _ptype_json(g), "m": args.m, "matrix": matrix, "pi": _factored_json(pi)}
+    return _emit(args, payload, f"{matrix}\nPi={payload['pi']['decimal']}")
+
+
+def _matrix_count(args: argparse.Namespace, key: str, count) -> int:
+    """reidemeister and pi: one count of the matrix given on the command line."""
+    g = _parse_ptype(args.group)
+    em = EndoMatrix(g, parse_matrix(args.matrix))
+    value = count(em)
+    payload = {"group": _ptype_json(g), "matrix": format_matrix(em.m), key: _factored_json(value)}
+    return _emit(args, payload, _render_count(value))
 
 
 def cmd_reidemeister(args: argparse.Namespace) -> int:
-    g = _parse_ptype(args.group)
-    em = EndoMatrix(g, parse_matrix(args.matrix))
-    r = reidemeister_number(em)
-    if args.json:
-        payload = {
-            "group": {"p": g.p, "e": list(g.e)},
-            "matrix": format_matrix(em.m),
-            "reidemeister": _factored_json(r),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(_render_count(r))
-    return EXIT_OK
+    return _matrix_count(args, "reidemeister", reidemeister_number)
 
 
 def cmd_pi(args: argparse.Namespace) -> int:
-    g = _parse_ptype(args.group)
-    em = EndoMatrix(g, parse_matrix(args.matrix))
-    if not is_automorphism(em):
-        raise NotAutomorphism("product number needs an invertible matrix")
-    pi = product_number(em)
-    if args.json:
-        payload = {
-            "group": {"p": g.p, "e": list(g.e)},
-            "matrix": format_matrix(em.m),
-            "pi": _factored_json(pi),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(_render_count(pi))
-    return EXIT_OK
+    # product_number raises NotAutomorphism for a singular matrix
+    return _matrix_count(args, "pi", product_number)
 
 
 # -- verify -----------------------------------------------------------------
@@ -289,63 +240,50 @@ def _verify_cell(g: PGroupType, budget: EnumBudget) -> tuple[_sweep.CellReport, 
 def cmd_verify(args: argparse.Namespace) -> int:
     budget = _resolve_budget(args)
     primes = args.primes or [2, 3, 5]
-    exps = None
     if args.exponents is not None:
-        try:
-            exps = tuple(int(v) for v in args.exponents.split(",")) if args.exponents else ()
-        except ValueError as exc:
-            raise GroupSpecError(f"bad exponent list {args.exponents!r}") from exc
-    cells: list[PGroupType] = []
-    for p in primes:
-        if exps is not None:
-            cells.append(validate_type(p, exps))
-        else:
-            cells.extend(iter_types(p, max_endos=budget.max_endos))
+        exps = parse_exponents(args.exponents)
+        cells = [validate_type(p, exps) for p in primes]
+    else:
+        cells = [g for p in primes for g in iter_types(p, max_endos=budget.max_endos)]
 
     results = []
-    failed = 0
-    skipped = 0
     for g in cells:
-        label = f"p={g.p} e={','.join(str(v) for v in g.e)}"
         try:
             rep, checks = _verify_cell(g, budget)
         except BudgetExceeded as exc:
-            skipped += 1
-            results.append({"cell": label, "skipped": str(exc)})
-            if not args.json:
-                print(f"{label} SKIPPED ({exc})")
-            continue
-        passed = all(checks.values())
-        if not passed:
-            failed += 1
-        results.append(
-            {
-                "cell": label,
-                "endos": rep.endo_count,
-                "autos": rep.auto_count,
-                "checks": checks,
-                "passed": passed,
-            }
-        )
-        if not args.json:
+            results.append({"cell": str(g), "skipped": str(exc)})
+            line = f"{g} SKIPPED ({exc})"
+        else:
+            results.append(
+                {
+                    "cell": str(g),
+                    "endos": rep.endo_count,
+                    "autos": rep.auto_count,
+                    "checks": checks,
+                    "passed": all(checks.values()),
+                }
+            )
             flags = " ".join(
                 f"{name}={'ok' if good else 'FAIL'}" for name, good in checks.items()
             )
-            print(f"{label} endos={rep.endo_count} autos={rep.auto_count} {flags}")
+            line = f"{g} endos={rep.endo_count} autos={rep.auto_count} {flags}"
+        if not args.json:
+            print(line)
 
+    failed = sum(r.get("passed") is False for r in results)
+    skipped = sum("skipped" in r for r in results)
     summary = {
         "cells": len(cells),
         "passed": len(cells) - failed - skipped,
         "failed": failed,
         "skipped": skipped,
     }
-    if args.json:
-        print(json.dumps({"results": results, "summary": summary}, sort_keys=True))
-    else:
-        print(
-            f"summary: {summary['cells']} cells, {summary['passed']} passed, "
-            f"{summary['failed']} failed, {summary['skipped']} skipped"
-        )
+    _emit(
+        args,
+        {"results": results, "summary": summary},
+        f"summary: {summary['cells']} cells, {summary['passed']} passed, "
+        f"{failed} failed, {skipped} skipped",
+    )
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
@@ -385,39 +323,34 @@ def _atlas_entry(group: AbelianGroupType, include_witnesses: bool) -> dict:
         }
     if include_witnesses:
         entry["witnesses"] = {
-            str(v.to_int()): _witness_texts(witness_abelian(group, v))
+            decimal(v): _witness_texts(witness_abelian(group, v))
             for v in spectrum.sorted_values()
         }
     return entry
 
 
-def render_atlas(max_order: int, include_witnesses: bool = False) -> str:
-    entries = []
-    for order in range(2, max_order + 1):
-        for group in _groups_of_order(order):
-            entries.append(_atlas_entry(group, include_witnesses))
-    return json.dumps(entries, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_atlas(args: argparse.Namespace) -> int:
     if args.max_order < 1:
         raise GroupSpecError("--max-order must be >= 1")
-    text = render_atlas(args.max_order, args.witnesses)
-    entries = text.count('"order"')
+    entries = [
+        _atlas_entry(group, args.witnesses)
+        for order in range(2, args.max_order + 1)
+        for group in _groups_of_order(order)
+    ]
+    text = json.dumps(entries, indent=2, sort_keys=True) + "\n"
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"cannot write atlas: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
-    if args.json:
-        print(json.dumps({"path": args.out, "entries": entries}, sort_keys=True))
-    else:
-        print(f"wrote {entries} entries to {args.out}")
-    return EXIT_OK
+    payload = {"path": args.out, "entries": len(entries)}
+    return _emit(args, payload, f"wrote {len(entries)} entries to {args.out}")
 
 
 # -- wiring -----------------------------------------------------------------
+
+_GROUP_HELP = "cyclic orders '4,3' or 'p=2 e=2,3'"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,54 +359,43 @@ def build_parser() -> argparse.ArgumentParser:
         description="Twisted conjugacy spectra of finite abelian groups.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="print one JSON document")
 
-    sp = sub.add_parser("spectrum", help="spectrum of a finite abelian group")
-    sp.add_argument("group", nargs="+", help="cyclic orders '4,3' or 'p=2 e=2,3'")
-    sp.add_argument("--json", action="store_true")
+    def command(name, fn, help, group_help=None) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help, parents=[common])
+        if group_help is not None:
+            cmd.add_argument("group", nargs="+", help=group_help)
+        cmd.set_defaults(fn=fn)
+        return cmd
+
+    sp = command("spectrum", cmd_spectrum, "spectrum of a finite abelian group", _GROUP_HELP)
     sp.add_argument("--witnesses", action="store_true", help="attach a witness per value")
-    sp.set_defaults(fn=cmd_spectrum)
 
-    pp = sub.add_parser("pi-spectrum", help="product-number spectrum of a p-group")
-    pp.add_argument("group", nargs="+")
-    pp.add_argument("--json", action="store_true")
-    pp.set_defaults(fn=cmd_pi_spectrum)
+    command("pi-spectrum", cmd_pi_spectrum, "product-number spectrum of a p-group", _GROUP_HELP)
+    command(
+        "decompose", cmd_decompose, "a/b/c block decomposition of a type vector",
+        "'e=1,2,3' or 'p=2 e=1,2,3'",
+    )
 
-    dc = sub.add_parser("decompose", help="a/b/c block decomposition of a type vector")
-    dc.add_argument("group", nargs="+", help="'e=1,2,3' or 'p=2 e=1,2,3'")
-    dc.add_argument("--json", action="store_true")
-    dc.set_defaults(fn=cmd_decompose)
-
-    wt = sub.add_parser("witness", help="automorphism with product number p^m")
-    wt.add_argument("group", nargs="+")
+    wt = command("witness", cmd_witness, "automorphism with product number p^m", _GROUP_HELP)
     wt.add_argument("-m", dest="m", type=int, required=True, help="target exponent")
-    wt.add_argument("--json", action="store_true")
-    wt.set_defaults(fn=cmd_witness)
 
-    rd = sub.add_parser("reidemeister", help="twisted class count of a matrix")
-    rd.add_argument("group", nargs="+")
-    rd.add_argument("--matrix", required=True)
-    rd.add_argument("--json", action="store_true")
-    rd.set_defaults(fn=cmd_reidemeister)
+    for name, fn, help in (
+        ("reidemeister", cmd_reidemeister, "twisted class count of a matrix"),
+        ("pi", cmd_pi, "product number of an automorphism matrix"),
+    ):
+        command(name, fn, help, _GROUP_HELP).add_argument("--matrix", required=True)
 
-    pi = sub.add_parser("pi", help="product number of an automorphism matrix")
-    pi.add_argument("group", nargs="+")
-    pi.add_argument("--matrix", required=True)
-    pi.add_argument("--json", action="store_true")
-    pi.set_defaults(fn=cmd_pi)
-
-    vf = sub.add_parser("verify", help="closed forms vs exhaustive enumeration")
+    vf = command("verify", cmd_verify, "closed forms vs exhaustive enumeration")
     vf.add_argument("-p", dest="primes", action="append", type=int, help="prime (repeatable)")
     vf.add_argument("-e", dest="exponents", help="single type to verify, e.g. '1,1'")
     vf.add_argument("--max-endos", dest="max_endos", type=int)
-    vf.add_argument("--json", action="store_true")
-    vf.set_defaults(fn=cmd_verify)
 
-    at = sub.add_parser("atlas", help="spectra of all groups up to an order")
+    at = command("atlas", cmd_atlas, "spectra of all groups up to an order")
     at.add_argument("--max-order", dest="max_order", type=int, required=True)
     at.add_argument("--out", required=True)
     at.add_argument("--witnesses", action="store_true")
-    at.add_argument("--json", action="store_true")
-    at.set_defaults(fn=cmd_atlas)
 
     return ap
 
@@ -482,21 +404,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (GroupSpecError, MatrixFormatError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OutOfSpectrum as exc:
-        print(f"out of spectrum: {exc}", file=sys.stderr)
-        return EXIT_OUT_OF_SPECTRUM
-    except (InvalidEndoMatrix, DimensionMismatch, NotAutomorphism) as exc:
-        print(f"invalid matrix: {exc}", file=sys.stderr)
-        return EXIT_INVALID_MATRIX
-    except (NotPrime, NonPositiveExponent, WrongPrime, OutOfRange, ValueError) as exc:
-        print(f"invalid type: {exc}", file=sys.stderr)
-        return EXIT_INVALID_TYPE
-    except InvariantViolation as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+    except ReidemeisterError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except Exception as exc:
+        print(f"{ReidemeisterError.label}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return ReidemeisterError.exit_code
 
 
 def console_main() -> None:

@@ -12,6 +12,7 @@ separated by ``;`` and entries by ``,`` (whitespace is ignored), e.g.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import count
 from math import gcd
@@ -33,6 +34,7 @@ __all__ = [
     "det_mod_p",
     "parse_matrix",
     "format_matrix",
+    "decimal",
     "is_prime",
     "factorize",
     "PRIMALITY_LIMIT",
@@ -228,7 +230,24 @@ def parse_matrix(text: str) -> IntMatrix:
 
 
 def format_matrix(m: IntMatrix) -> str:
-    return ";".join(",".join(str(v) for v in m.row(i)) for i in range(m.rows))
+    return ";".join(",".join(decimal(v) for v in m.row(i)) for i in range(m.rows))
+
+
+def decimal(v: int | Factored) -> str:
+    """Decimal text of v.
+
+    Python refuses to print an int of more than
+    ``sys.get_int_max_str_digits()`` digits (4300 by default); past that
+    this raises NumberTooLarge, naming a Factored value in factored form.
+    """
+    try:
+        return str(int(v))
+    except ValueError:
+        name = str(v) if isinstance(v, Factored) else f"an integer of {v.bit_length()} bits"
+        raise NumberTooLarge(
+            f"{name} has more than {sys.get_int_max_str_digits()} decimal digits, "
+            "the limit of int-to-str conversion"
+        ) from None
 
 
 class Factored:

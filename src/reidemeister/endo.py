@@ -40,6 +40,7 @@ __all__ = [
     "fixed_point_count",
     "reidemeister_number",
     "elements",
+    "parse_exponents",
     "parse_type_spec",
     "format_type_spec",
 ]
@@ -94,27 +95,31 @@ def validate_type(p: int, raw: Iterable[int]) -> PGroupType:
     return PGroupType(p, tuple(sorted(exps)))
 
 
+def parse_exponents(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated exponent list; the empty text is ()."""
+    try:
+        return tuple(int(v) for v in text.split(",")) if text else ()
+    except ValueError as exc:
+        raise GroupSpecError(f"bad exponent list {text!r}") from exc
+
+
 def parse_type_spec(text: str) -> PGroupType:
-    """Parse the ``p=2 e=2,3`` group type text format."""
-    p = None
-    e: tuple[int, ...] | None = None
+    """Parse the ``p=2 e=2,3`` group type text format; each token once."""
+    fields: dict[str, str] = {}
     for token in text.split():
-        if token.startswith("p="):
-            try:
-                p = int(token[2:])
-            except ValueError as exc:
-                raise GroupSpecError(f"bad prime in {token!r}") from exc
-        elif token.startswith("e="):
-            body = token[2:]
-            try:
-                e = tuple(int(v) for v in body.split(",")) if body else ()
-            except ValueError as exc:
-                raise GroupSpecError(f"bad exponent list in {token!r}") from exc
-        else:
+        key = token[:2]
+        if key not in ("p=", "e="):
             raise GroupSpecError(f"unexpected token {token!r} in type spec")
-    if p is None or e is None:
+        if key in fields:
+            raise GroupSpecError(f"repeated {key} token in type spec {text!r}")
+        fields[key] = token[2:]
+    if len(fields) < 2:
         raise GroupSpecError(f"type spec {text!r} needs both p= and e=")
-    return validate_type(p, e)
+    try:
+        p = int(fields["p="])
+    except ValueError as exc:
+        raise GroupSpecError(f"bad prime {fields['p=']!r}") from exc
+    return validate_type(p, parse_exponents(fields["e="]))
 
 
 def format_type_spec(g: PGroupType) -> str:

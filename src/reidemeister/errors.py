@@ -1,16 +1,29 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules.
+
+Each class carries the exit code and stderr label the command line
+reports it with: 2 parse error, 3 invalid type, 4 out of spectrum,
+5 invalid matrix.  A class that names no input fault keeps the base
+class's 7, internal error.
+"""
 
 
 class ReidemeisterError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 7
+    label = "internal error"
+
 
 class MatrixFormatError(ReidemeisterError, ValueError):
     """Matrix text could not be parsed."""
 
+    exit_code, label = 2, "parse error"
+
 
 class DimensionMismatch(ReidemeisterError, ValueError):
     """Operands have incompatible shapes."""
+
+    exit_code, label = 5, "invalid matrix"
 
 
 class RankDeficient(ReidemeisterError, ValueError):
@@ -20,17 +33,25 @@ class RankDeficient(ReidemeisterError, ValueError):
 class NotPrime(ReidemeisterError, ValueError):
     """A prime number was required."""
 
+    exit_code, label = 3, "invalid type"
+
 
 class NumberTooLarge(ReidemeisterError, ValueError):
-    """An integer lies at or above the bound where primality is proven."""
+    """An integer is too large to decide primality of or to print in decimal."""
+
+    exit_code, label = 3, "invalid type"
 
 
 class NonPositiveExponent(ReidemeisterError, ValueError):
     """Group type exponents must be >= 1."""
 
+    exit_code, label = 3, "invalid type"
+
 
 class InvalidEndoMatrix(ReidemeisterError, ValueError):
     """Matrix violates the divisibility constraints of the endomorphism ring."""
+
+    exit_code, label = 5, "invalid matrix"
 
 
 class NotCoprime(ReidemeisterError, ValueError):
@@ -38,7 +59,9 @@ class NotCoprime(ReidemeisterError, ValueError):
 
 
 class OutOfRange(ReidemeisterError, ValueError):
-    """Depth vector entry outside [0, e_i]."""
+    """A depth entry outside [0, e_i], or a cyclic order below 2."""
+
+    exit_code, label = 3, "invalid type"
 
 
 class NotCharacteristic(ReidemeisterError, ValueError):
@@ -52,13 +75,19 @@ class FullDepth(ReidemeisterError, ValueError):
 class NotAutomorphism(ReidemeisterError, ValueError):
     """Operation requires an invertible endomorphism."""
 
+    exit_code, label = 5, "invalid matrix"
+
 
 class WrongPrime(ReidemeisterError, ValueError):
     """Closed form only applies to the stated prime parity."""
 
+    exit_code, label = 3, "invalid type"
+
 
 class OutOfSpectrum(ReidemeisterError, ValueError):
     """Requested value lies outside the spectrum of the group."""
+
+    exit_code, label = 4, "out of spectrum"
 
 
 class BudgetExceeded(ReidemeisterError, RuntimeError):
@@ -67,6 +96,8 @@ class BudgetExceeded(ReidemeisterError, RuntimeError):
 
 class GroupSpecError(ReidemeisterError, ValueError):
     """Group description text could not be parsed."""
+
+    exit_code, label = 2, "parse error"
 
 
 class InvariantViolation(ReidemeisterError, RuntimeError):

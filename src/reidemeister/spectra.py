@@ -31,6 +31,7 @@ from .errors import (
     InvariantViolation,
     NotAutomorphism,
     NotPrime,
+    OutOfRange,
     OutOfSpectrum,
     WrongPrime,
 )
@@ -108,7 +109,7 @@ class AbelianGroupType:
     def __post_init__(self) -> None:
         orders = tuple(sorted(int(v) for v in self.cyclic_orders))
         if any(v < 2 for v in orders):
-            raise ValueError(f"cyclic orders must be >= 2, got {orders}")
+            raise OutOfRange(f"cyclic orders must be >= 2, got {orders}")
         object.__setattr__(self, "cyclic_orders", orders)
 
     @property

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reidemeister import (
     EndoMatrix,
@@ -377,3 +383,128 @@ def test_atlas_group_count_order_16(tmp_path, capsys):
     run(capsys, "atlas", "--max-order", "16", "--out", str(out_path))
     entries = json.loads(out_path.read_text())
     assert sum(1 for e in entries if e["order"] == 16) == 5
+
+
+# -- exit-code contract ------------------------------------------------------------
+
+LABELS = {2: "parse error", 3: "invalid type", 4: "out of spectrum", 5: "invalid matrix"}
+
+
+def test_error_classes_carry_their_exit_codes():
+    from reidemeister import errors
+
+    table = {
+        name: (cls.exit_code, cls.label)
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.ReidemeisterError)
+    }
+    internal = (7, "internal error")
+    assert table == {
+        "ReidemeisterError": internal,
+        "MatrixFormatError": (2, LABELS[2]),
+        "GroupSpecError": (2, LABELS[2]),
+        "NotPrime": (3, LABELS[3]),
+        "NumberTooLarge": (3, LABELS[3]),
+        "NonPositiveExponent": (3, LABELS[3]),
+        "OutOfRange": (3, LABELS[3]),
+        "WrongPrime": (3, LABELS[3]),
+        "OutOfSpectrum": (4, LABELS[4]),
+        "DimensionMismatch": (5, LABELS[5]),
+        "InvalidEndoMatrix": (5, LABELS[5]),
+        "NotAutomorphism": (5, LABELS[5]),
+        "RankDeficient": internal,
+        "NotCoprime": internal,
+        "NotCharacteristic": internal,
+        "FullDepth": internal,
+        "BudgetExceeded": internal,
+        "InvariantViolation": internal,
+    }
+
+
+def test_order_below_two_keeps_its_message(capsys):
+    code, out, err = run(capsys, "spectrum", "1,4")
+    assert (code, out) == (3, "")
+    assert err == "invalid type: cyclic orders must be >= 2, got (1, 4)\n"
+
+
+def test_repeated_type_spec_token_is_parse_error(capsys):
+    # the later token used to win: Z/3 and Z/4 instead of an error
+    for argv in (["p=2", "e=1", "p=3"], ["p=2", "e=1", "e=2"]):
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: repeated ")
+
+
+def test_values_too_large_to_print_are_invalid_type(capsys):
+    # 2^20000 has 6021 decimal digits, past Python's int-to-str limit
+    for argv in (
+        ["reidemeister", "p=2", "e=20000", "--matrix", "1"],
+        ["reidemeister", "p=2", "e=20000", "--matrix", "1", "--json"],
+        ["witness", "p=2", "e=20000", "-m", "20000"],
+        ["witness", "p=2", "e=20000", "-m", "20000", "--json"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("invalid type: 2^20000 has more than ") and "4300" in err
+
+
+def test_failures_that_are_not_input_errors_are_internal(capsys, monkeypatch):
+    for exc in (ValueError("boom"), ZeroDivisionError("boom")):
+
+        def fail(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "spec_r_abelian", fail)
+        code, out, err = run(capsys, "spectrum", "4,3")
+        assert code == 7 and out == ""
+        assert err == f"internal error: {type(exc).__name__}: boom\n"
+
+
+# numbers of at most three digits, often small enough for a valid group
+_SMALL = st.one_of(st.integers(0, 4), st.integers(-99, 999))
+_PRIMES = st.sampled_from([2, 3, 5, 7])
+
+
+def _csv(numbers) -> str:
+    return ",".join(str(v) for v in numbers)
+
+
+def _matrix(rows: int):
+    return st.lists(st.lists(_SMALL, min_size=rows, max_size=rows), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["spectrum", "pi-spectrum", "decompose", "witness", "reidemeister", "pi"]))
+    p, e = draw(_PRIMES), draw(st.lists(_SMALL, max_size=4))
+    group = draw(st.one_of(
+        st.just([f"p={p}", f"e={_csv(e)}"]),
+        st.just([f"e={_csv(e)}"]),
+        st.lists(st.integers(0, 999), min_size=1, max_size=4).map(lambda orders: [_csv(orders)]),
+        st.lists(st.sampled_from(["p=2", "p=4", "e=1,2", "e=", "e=1,,2", "p=x", "q=3", "4,x"]),
+                 min_size=1, max_size=3),
+    ))
+    argv = [command, *group]
+    if command == "witness":
+        argv += ["-m", str(draw(_SMALL))]
+    elif command in ("reidemeister", "pi"):
+        rows = draw(st.one_of(_matrix(len(e)), st.integers(0, 4).flatmap(_matrix)))
+        argv.append(f"--matrix={';'.join(_csv(row) for row in rows)}")
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+# every example has taken well under a second; the deadline catches one that hangs
+@settings(max_examples=300, deadline=timedelta(seconds=10))
+@given(_argv())
+def test_cli_fuzz_ends_with_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in {0, 2, 3, 4, 5}, (argv, err)
+    assert (out == "") == (code != 0)
+    assert (err == "") == (code == 0)
+    if err:
+        assert err.startswith(LABELS[code] + ": ")

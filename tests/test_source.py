@@ -21,3 +21,15 @@ def test_invariants_do_not_rely_on_assert():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno} raise AssertionError")
     assert found == []
+
+
+def test_cli_main_handles_only_the_base_error_and_exception():
+    # exit codes 2-5 and 7 come from the error classes, not from a list in main
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    handled = [
+        ast.unparse(handler.type)
+        for node in ast.walk(main) if isinstance(node, ast.Try)
+        for handler in node.handlers
+    ]
+    assert handled == ["ReidemeisterError", "Exception"]
