@@ -1,17 +1,30 @@
 """Vectorized exhaustive sweeps over canonical endomorphism matrices.
 
-The verification suites walk every canonical endomorphism of a cell
+The verification suites walk the canonical endomorphisms of a cell
 (p, e), about 10^6 in the larger cells: far too many to build one
-EndoMatrix at a time.  One generator, ``_walk``, decodes the indices in
-numpy chunks for both sweeps; the trivial group is its case n = 0 (one
-empty matrix).  A chunk holds p^K indices from a multiple of p^K; every
-parameter count is a power of p, so the digits of start and offset never
-meet, and a chunk is the first one, decoded once, plus the decoded start.
-Per chunk, ``sweep_cell`` evaluates:
+EndoMatrix at a time.  Both walks decode parameter indices in numpy
+chunks through ``_chunks``; the trivial group is their case n = 0 (one
+empty matrix).  Every parameter count is a power of p, so a chunk of
+a * p^K indices (a < p) that starts at a multiple of it and stays inside
+one multiple of p^{K+1} never carries into digit K + 1: the chunk is the
+first one, decoded once, plus its decoded start.
 
-* invertibility mod p.  p | M_ij when e_i > e_j, so mod p M is block
-  upper triangular over the runs of equal exponents (Hillar and Rhea,
-  Amer. Math. Monthly 2007): one Leibniz determinant per diagonal block,
+``triple_check`` walks every endomorphism (``_walk``); ``sweep_cell``
+walks only the automorphisms (``_automorphisms``).  p | M_ij when
+e_i > e_j, so mod p a canonical matrix is block upper triangular over
+the runs of equal exponents (Hillar and Rhea, Amer. Math. Monthly
+2007), and it is invertible exactly when each diagonal block is.  A
+diagonal-block entry (e_i = e_j) has stride 1, so its residue mod p is
+its parameter's lowest digit.  These digits are the residue pattern;
+the rest of the entry (stride p) and every other entry are the free
+digits.  The walk decodes the patterns in chunks and keeps those whose
+diagonal blocks have a unit Leibniz determinant mod p.  It adds every
+value of the free digits to each kept pattern, in chunks of free values
+when they do not fit the cap, and several patterns to a chunk when they
+do.  The walk never holds all kept patterns at once, and
+``sweep_cell`` checks the number of rows walked against the Hillar-Rhea
+count.  Per chunk, ``sweep_cell`` evaluates:
+
 * fixed-point counts of every unit multiple k*M.  |Fix| is the index of
   the column lattice of [kM - I | diag(p^{e_i})].  Scaling row i by
   p^{E - e_i}, with E = e_n, turns the block into [N | p^E I], so the
@@ -21,7 +34,8 @@ Per chunk, ``sweep_cell`` evaluates:
   for linear algebra modulo N", ESA 1998): take the entry of least
   valuation, clear its column with the inverse-free row operation
   u*row_i - (a_ic / p^v)*row_r, where u is the pivot's unit part, and
-  drop the pivot row and column,
+  drop the pivot row and column.  The exponents of R and of Pi (the sum
+  over the multiples) go into one histogram each per cell,
 * validity, invertibility (runs of e - d) and mod-p column structure
   of the matrices conjugated by diag(p^{d_i}) for the depth vector d(e).
 
@@ -35,8 +49,8 @@ Chunks of 2^23 entries, 32 MiB each, made the kernel 1.3-1.4x slower.
 
 All arithmetic stays exact.  Every entry of a stack is below p^E, and
 every intermediate of the stages below p^{2E} in absolute value
-(p^{E+1} when n = 1, which has no elimination).  ``_walk`` decodes in
-int64 and yields int32 stacks when that bound is below 2^31, int64
+(p^{E+1} when n = 1, which has no elimination).  ``_chunks`` decodes
+in int64 and returns int32 stacks when that bound is below 2^31, int64
 stacks otherwise; every stage keeps its operands at the stack's dtype,
 and only ``_batch_det`` accumulates its mod-p products in int64.
 ``batchable`` holds the int64 bounds, and the element kernel needs its
@@ -45,8 +59,9 @@ BudgetExceeded like cells over the enumeration budget.  Every reduction
 is ``_reduce``, a - (a // m) * m for a Python-int scalar m: numpy
 divides by a scalar with a multiply and shift (Granlund and Montgomery,
 PLDI 1994) but runs ``%`` as one hardware division per element, about
-ten times slower.  A deterministic sample of endomorphisms from every
-cell is re-checked through the plain per-object APIs
+ten times slower.  A deterministic sample of endomorphism indices from
+every cell, automorphisms or not, is decoded and re-checked through the
+plain per-object APIs
 (fixed_point_count, product_number, restrict, column_structure_check,
 brute_fixed_points, twisted_class_count), so the batched results stay
 anchored to the reference implementations.
@@ -69,6 +84,7 @@ from .errors import BudgetExceeded, InvariantViolation
 from .oracle import (
     _check_endo_budget,
     _check_order_budget,
+    _hillar_rhea_aut_count,
     brute_fixed_points,
     canonical_parameters,
     endomorphism_count,
@@ -274,75 +290,149 @@ def _to_endo(g: PGroupType, mat: np.ndarray) -> EndoMatrix:
     return EndoMatrix(g, IntMatrix(n, n, entries))
 
 
+def _stack_dtype(g: PGroupType):
+    """int32 when every intermediate of the stages fits it, int64 otherwise."""
+    return np.int32 if _product_bound(g) < 2**31 else np.int64
+
+
+def _power_below(p: int, limit: int) -> int:
+    """The largest power of p up to ``limit``."""
+    power = 1
+    while power * p <= limit:
+        power *= p
+    return power
+
+
+def _chunks(
+    g: PGroupType, strides, counts, total: int, cap: int
+) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
+    """Digit-aligned chunks of the first ``total`` indices of the parameter
+    space with these row-major ``strides`` and ``counts`` (powers of p);
+    see the module docstring.  Returns (inner, chunks): chunk (start,
+    length, shift) is the decode of indices start .. start + length - 1,
+    which is inner[:length] + shift."""
+    limit = min(cap, total)
+    step = _power_below(g.p, limit)
+    width = limit // step * step  # a * p^K with a < p
+    cycle = min(step * g.p, total)
+    strides, counts = (np.array(v, dtype=np.int64) for v in (strides, counts))
+    dtype = _stack_dtype(g)
+    inner = _decode(np.arange(width, dtype=np.int64), strides, counts, g.n).astype(dtype)
+    starts = [c + s for c in range(0, total, cycle) for s in range(0, cycle, width)]
+    shifts = _decode(np.array(starts, dtype=np.int64), strides, counts, g.n).astype(dtype)
+    return inner, [
+        (start, min(width, cycle - start % cycle), shift) for start, shift in zip(starts, shifts)
+    ]
+
+
 def _walk(
     g: PGroupType, total: int, quota: int, cap: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Decode all ``total`` canonical endomorphisms of g in index order, in
     chunks of the largest power of p up to ``cap`` and ``total``.  Yields
-    (mats, positions): the (B, n, n) chunk, int32 when every intermediate
-    of the stages fits it and int64 otherwise, and the rows of it that
-    ``_sample_indices(total, quota)`` selects."""
-    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
-    dtype = np.int32 if _product_bound(g) < 2**31 else np.int64
+    (mats, positions): the (B, n, n) chunk at ``_stack_dtype`` and the
+    rows of it that ``_sample_indices(total, quota)`` selects."""
     samples = _sample_indices(total, quota)
-    chunk = 1
-    while chunk * g.p <= min(cap, total):
-        chunk *= g.p
-    inner = _decode(np.arange(chunk, dtype=np.int64), strides, counts, g.n).astype(dtype)
-    for start in range(0, total, chunk):
-        mats = inner + _decode(np.array([start], dtype=np.int64), strides, counts, g.n).astype(dtype)
-        lo, hi = np.searchsorted(samples, (start, start + chunk))
-        yield mats, samples[lo:hi] - start
+    strides, counts = canonical_parameters(g)
+    inner, chunks = _chunks(g, strides, counts, total, _power_below(g.p, min(cap, total)))
+    for start, length, shift in chunks:
+        lo, hi = np.searchsorted(samples, (start, start + length))
+        yield inner[:length] + shift, samples[lo:hi] - start
+
+
+def _automorphisms(g: PGroupType, cap: int) -> Iterator[np.ndarray]:
+    """Every automorphism of g once, in (B, n, n) chunks of at most ``cap``
+    rows at ``_stack_dtype``: each residue pattern of the diagonal blocks
+    that ``_invertible_mod_p`` accepts, plus every value of the free
+    digits; see the module docstring."""
+    n = g.n
+    strides, counts = canonical_parameters(g)
+    # a diagonal-block entry (e_i = e_j) has stride 1: its residue mod p
+    # is the pattern digit, the rest of it a free digit of stride p
+    radix = [g.p if ei == ej else 1 for ei in g.e for ej in g.e]
+    pattern_inner, patterns = _chunks(g, [1] * (n * n), radix, math.prod(radix), cap)
+    free_counts = [c // r for c, r in zip(counts, radix)]
+    free_inner, frees = _chunks(
+        g, [s * r for s, r in zip(strides, radix)], free_counts, math.prod(free_counts), cap
+    )
+    per = cap // len(free_inner)  # kept patterns per chunk
+    for _, length, shift in patterns:
+        block = pattern_inner[:length] + shift
+        kept = block[_invertible_mod_p(block, g.e, g.p)]
+        for k in range(0, len(kept), per):
+            for _, free_length, free_shift in frees:
+                rows = (kept[k : k + per, None] + free_shift) + free_inner[:free_length]
+                yield rows.reshape(rows.shape[0] * rows.shape[1], n, n)
+
+
+def _exponents(autos: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.ndarray]:
+    """Per automorphism: the exponents of R and of Pi, the sum of the R
+    exponents of every unit multiple.  For p = 2 they are one array."""
+    r_exp = _fix_exponents(autos, g, 1)
+    pi_exp = r_exp
+    for mult in range(2, g.p):
+        pi_exp = pi_exp + _fix_exponents(autos, g, mult)
+    return r_exp, pi_exp
+
+
+def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
+    """Re-check an even spread of the cell's endomorphisms through the
+    batched stages against the per-object APIs."""
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
+    indices = _sample_indices(total, SWEEP_SAMPLES)
+    mats = _decode(indices, strides, counts, g.n).astype(_stack_dtype(g))
+    amask = _invertible_mod_p(mats, g.e, g.p)
+    autos = mats[amask]
+    r_exp, pi_exp = _exponents(autos, g)
+    rows = zip(r_exp.tolist(), pi_exp.tolist(), _structure_ok(autos, g).tolist())
+    dec = abc_decompose(g)
+    ok = True
+    for mat, auto in zip(mats, amask.tolist()):
+        em = _to_endo(g, mat)
+        if not auto:
+            ok &= not is_automorphism(em)
+            continue
+        r, pi, struct = next(rows)
+        ok &= (
+            is_automorphism(em)
+            and fixed_point_count(em).nu(g.p) == r
+            and product_number(em).nu(g.p) == pi
+            and _reference_structure_ok(em, dec) == struct
+        )
+    return len(indices), ok
 
 
 @lru_cache(maxsize=256)
 def sweep_cell(g: PGroupType, budget) -> CellReport:
     """Sweep every automorphism of the cell; see the module docstring."""
     total = _check_cell(g, budget)
-    p = g.p
-    dec = abc_decompose(g)
-    auto_count = violations = samples_checked = 0
-    r_exps: set[int] = set()
-    pi_exps: set[int] = set()
-    samples_ok = True
+    top = g.total_exponent
+    r_hist = np.zeros(top + 1, dtype=np.int64)
+    pi_hist = r_hist if g.p == 2 else np.zeros((g.p - 1) * top + 1, dtype=np.int64)
+    violations = 0
 
-    chunk = max(1, min(1 << 13, (1 << 22) // max(1, math.factorial(g.n) * g.n)))
-    for mats, positions in _walk(g, total, SWEEP_SAMPLES, chunk):
-        amask = _invertible_mod_p(mats, g.e, p)
-        autos = mats[amask]
-        auto_count += int(amask.sum())
-        if autos.shape[0]:
-            r_exp = _fix_exponents(autos, g, 1)
-            pi_exp = r_exp.copy()
-            for mult in range(2, p):
-                pi_exp += _fix_exponents(autos, g, mult)
-            r_exps.update(int(v) for v in np.unique(r_exp))
-            pi_exps.update(int(v) for v in np.unique(pi_exp))
-            struct_ok = _structure_ok(autos, g)
-            violations += int((~struct_ok).sum())
+    cap = max(1, min(1 << 13, (1 << 22) // max(1, math.factorial(g.n) * g.n)))
+    for autos in _automorphisms(g, cap):
+        r_exp, pi_exp = _exponents(autos, g)
+        r_hist += np.bincount(r_exp, minlength=r_hist.size)
+        if pi_hist is not r_hist:
+            pi_hist += np.bincount(pi_exp, minlength=pi_hist.size)
+        violations += int((~_structure_ok(autos, g)).sum())
 
-        samples_checked += len(positions)
-        for pos in positions:
-            em = _to_endo(g, mats[pos])
-            if bool(amask[pos]) != is_automorphism(em):
-                samples_ok = False
-                continue
-            if not amask[pos]:
-                continue
-            row = int(amask[:pos].sum())
-            if fixed_point_count(em).nu(p) != int(r_exp[row]):
-                samples_ok = False
-            if product_number(em).nu(p) != int(pi_exp[row]):
-                samples_ok = False
-            if _reference_structure_ok(em, dec) != bool(struct_ok[row]):
-                samples_ok = False
-
+    auto_count = int(r_hist.sum())
+    expected = _hillar_rhea_aut_count(g)
+    if auto_count != expected:
+        raise InvariantViolation(
+            f"the sweep of {g} walked {auto_count} automorphisms, not {expected}"
+        )
+    samples_checked, samples_ok = _recheck_samples(g, total)
     # the identity is an automorphism of every cell, so pi_exps is not empty
+    pi_exps = np.flatnonzero(pi_hist).tolist()
     return CellReport(
         group=g,
         endo_count=total,
         auto_count=auto_count,
-        r_exponents=frozenset(r_exps),
+        r_exponents=frozenset(np.flatnonzero(r_hist).tolist()),
         pi_exponents=frozenset(pi_exps),
         pi_min=min(pi_exps),
         pi_max=max(pi_exps),

@@ -74,6 +74,18 @@ def endomorphism_count(g: PGroupType) -> int:
     return math.prod(canonical_parameters(g)[1])
 
 
+def _hillar_rhea_aut_count(g: PGroupType) -> int:
+    """Number of automorphisms: Hillar and Rhea, Amer. Math. Monthly 2007,
+    Thm 4.1 (1-based indices)."""
+    p, e, n = g.p, g.e, g.n
+    count = 1
+    for k, ek in enumerate(e, start=1):
+        hi = n - e[::-1].index(ek)  # max{l : e_l = e_k}
+        lo = e.index(ek) + 1  # min{l : e_l = e_k}
+        count *= (p**hi - p ** (k - 1)) * p ** (ek * (n - hi)) * p ** ((ek - 1) * (n - lo + 1))
+    return count
+
+
 def _check_endo_budget(g: PGroupType, budget: EnumBudget) -> int:
     count = endomorphism_count(g)
     if count > budget.max_endos:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from reidemeister import (
     BudgetExceeded,
     EndoMatrix,
     EnumBudget,
+    InvariantViolation,
     PGroupType,
     apply,
     brute_fixed_points,
@@ -30,7 +33,7 @@ from reidemeister import (
     twisted_class_count,
 )
 from reidemeister.decomposition import abc_decompose
-from reidemeister.oracle import DEFAULT_BUDGET, canonical_parameters
+from reidemeister.oracle import DEFAULT_BUDGET, _hillar_rhea_aut_count, canonical_parameters
 from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
 from reidemeister import _sweep
 
@@ -246,17 +249,6 @@ def test_sweep_cell_matches_direct_statistics():
     assert rep.samples_ok
 
 
-def _hillar_rhea_aut_count(g: PGroupType) -> int:
-    # Hillar & Rhea, Amer. Math. Monthly 2007, Thm 4.1 (1-based indices)
-    p, e, n = g.p, g.e, g.n
-    count = 1
-    for k, ek in enumerate(e, start=1):
-        hi = n - e[::-1].index(ek)  # max{l : e_l = e_k}
-        lo = e.index(ek) + 1  # min{l : e_l = e_k}
-        count *= (p**hi - p ** (k - 1)) * p ** (ek * (n - hi)) * p ** ((ek - 1) * (n - lo + 1))
-    return count
-
-
 def test_auto_count_matches_hillar_rhea():
     cells = [g for p in (2, 3, 5) for g in iter_types(p, max_endos=2**16)]
     assert len(cells) == 91
@@ -324,26 +316,33 @@ def test_walk_is_carry_free(g, cap):
 
 
 def test_samples_survive_chunk_boundaries(monkeypatch):
-    # a chunk is the largest power of p up to the sweep's cap and the
-    # endomorphism count.  sweep_cell caps it at 8192 for n <= 4, and
-    # triple_check at min(8192, 2^19 // (order * n)).  p=2 e=1,1,1,2:
-    # 2^17 endomorphisms of a group of order 32, so 16 chunks of 8192 and
-    # 32 of 2^19 // 128 = 4096.  p=3 e=1,1,2: 3^10 endomorphisms of a
-    # group of order 81, so 9 chunks of 3^8 = 6561 and, under the cap
-    # 2^19 // 243 = 2157, 81 chunks of 3^6 = 729
+    # triple_check's chunk is the largest power of p up to its cap,
+    # min(8192, 2^19 // (order * n)), and the endomorphism count.
+    # sweep_cell's cap is 8192 for n <= 4; when the free digits fit it,
+    # each of its chunks is cap // (free values) kept residue patterns
+    # times every free value.  p=2 e=1,1,1,2: 2^17 endomorphisms of a
+    # group of order 32, so 32 triple chunks of 2^19 // 128 = 4096; 168
+    # patterns (GL_3(F_2) x GL_1(F_2)) times 2^7 free values, 64 to a
+    # sweep chunk.  p=3 e=1,1,2: 3^10 endomorphisms of a group of order
+    # 81, so under the cap 2^19 // 243 = 2157, 81 triple chunks of
+    # 3^6 = 729; 96 patterns (GL_2(F_3) x GL_1(F_3)) times 3^5 free
+    # values, 33 to a sweep chunk
     cases = [
-        (PGroupType(2, (1, 1, 1, 2)), [8192] * 16, [4096] * 32),
-        (PGroupType(3, (1, 1, 2)), [6561] * 9, [729] * 81),
+        (PGroupType(2, (1, 1, 1, 2)), [64 * 128] * 2 + [40 * 128], [4096] * 32),
+        (PGroupType(3, (1, 1, 2)), [33 * 243] * 2 + [30 * 243], [729] * 81),
     ]
     chunks = []
-    walk = _sweep._walk
 
-    def counting_walk(*args):
-        for item in walk(*args):
-            chunks.append(len(item[0]))
-            yield item
+    def counting(walk):
+        def counted(*args):
+            for item in walk(*args):
+                chunks.append(len(item) if isinstance(item, np.ndarray) else len(item[0]))
+                yield item
 
-    monkeypatch.setattr(_sweep, "_walk", counting_walk)
+        return counted
+
+    monkeypatch.setattr(_sweep, "_walk", counting(_sweep._walk))
+    monkeypatch.setattr(_sweep, "_automorphisms", counting(_sweep._automorphisms))
     for g, sweep_chunks, triple_chunks in cases:
         total = endomorphism_count(g)
         chunks.clear()
@@ -357,6 +356,62 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
         assert chunks == triple_chunks
         assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.TRIPLE_SAMPLES))
         assert rep.samples_ok and rep.mismatches == 0
+
+
+def _multiset(mats):
+    return Counter(tuple(m.reshape(-1).tolist()) for m in mats)
+
+
+@pytest.mark.parametrize(
+    "g, cap",
+    [
+        (PGroupType(2, ()), 4),
+        # the free digits fit the cap: kept patterns are batched
+        (PGroupType(2, (1, 1)), 4),
+        (PGroupType(2, (1, 1, 1, 1)), 1000),
+        (PGroupType(3, (1, 2)), 60),
+        # they do not: each pattern is walked over chunks of free values
+        (PGroupType(2, (1, 1, 2)), 12),
+        (PGroupType(2, (1, 2, 2)), 12),
+        # chunks of a * p^K with 1 < a < p: 6 = 2 * 3 and 3 < 5
+        (PGroupType(3, (1, 1)), 7),
+        (PGroupType(5, (1,)), 3),
+    ],
+    ids=str,
+)
+def test_automorphism_walk_is_the_filtered_endomorphisms(g, cap):
+    total = endomorphism_count(g)
+    expected = Counter()
+    for mats, _ in _sweep._walk(g, total, 1, 8192):
+        expected += _multiset(mats[_sweep._invertible_mod_p(mats, g.e, g.p)])
+    chunks = list(_sweep._automorphisms(g, cap))
+    assert len(chunks) > 1 or g.n == 0
+    assert all(0 < len(mats) <= cap and mats.dtype == np.int32 for mats in chunks)
+    walked = np.concatenate(chunks)
+    assert _multiset(walked) == expected
+    assert len(walked) == _hillar_rhea_aut_count(g)
+    assert all(is_automorphism(_sweep._to_endo(g, mat)) for mat in walked)
+
+
+def test_automorphism_walk_batches_primes_past_the_cap():
+    # p = 8209 > 8192, sweep_cell's cap for n = 1: the residues split into
+    # chunks of 8192 and 17 patterns, so no chunk is a single row
+    g = PGroupType(8209, (1,))
+    lengths = [len(mats) for mats in _sweep._automorphisms(g, 8192)]
+    assert lengths == [8191, 17]
+
+
+def test_sweep_cell_checks_its_walk_against_hillar_rhea(monkeypatch):
+    walk = _sweep._automorphisms
+
+    def dropping_walk(*args):
+        chunks = walk(*args)
+        next(chunks)
+        yield from chunks
+
+    monkeypatch.setattr(_sweep, "_automorphisms", dropping_walk)
+    with pytest.raises(InvariantViolation, match="walked"):
+        _sweep.sweep_cell.__wrapped__(PGroupType(2, (1, 1)), DEFAULT_BUDGET)
 
 
 def _full_det_invertible(mats, exps, p):
