@@ -3,11 +3,11 @@
 The verification suites walk the canonical endomorphisms of a cell
 (p, e), about 10^6 in the larger cells: far too many to build one
 EndoMatrix at a time.  Both walks decode parameter indices in numpy
-chunks through ``_chunks``; the trivial group is their case n = 0 (one
-empty matrix).  Every parameter count is a power of p, so a chunk of
-a * p^K indices (a < p) that starts at a multiple of it and stays inside
-one multiple of p^{K+1} never carries into digit K + 1: the chunk is the
-first one, decoded once, plus its decoded start.
+chunks, and ``_chunks`` alone sizes them; the trivial group is their
+case n = 0 (one empty matrix).  Every parameter count is a power of p,
+so a chunk of a * p^K <= cap indices (a < p) that starts at a multiple
+of it and stays inside one multiple of p^{K+1} never carries into digit
+K + 1: the chunk is the first one, decoded once, plus its decoded start.
 
 ``triple_check`` walks every endomorphism (``_walk``); ``sweep_cell``
 walks only the automorphisms (``_automorphisms``).  p | M_ij when
@@ -42,10 +42,10 @@ count.  Per chunk, ``sweep_cell`` evaluates:
 ``triple_check`` counts the fixed points of every endomorphism by brute
 force and by the image of x - phi(x), both as float matmuls over an
 element table, and by the lattice index above.  This element kernel is
-memory-bound, so its chunk is min(8192, 2^19 // (order * n)) rounded down
-to a power of p: each (chunk, n, order) intermediate then holds at most
-2^19 entries, 2 MiB as float32 or int32, a typical per-core L2 cache.
-Chunks of 2^23 entries, 32 MiB each, made the kernel 1.3-1.4x slower.
+memory-bound, so its cap is min(8192, 2^19 // (order * n)) rows: each
+(chunk, n, order) intermediate then holds at most 2^19 entries, 2 MiB as
+float32 or int32, a typical per-core L2 cache.  Chunks of 2^23 entries,
+32 MiB each, made the kernel 1.3-1.4x slower.
 
 All arithmetic stays exact.  Every entry of a stack is below p^E, and
 every intermediate of the stages below p^{2E} in absolute value
@@ -130,20 +130,44 @@ def _check_cell(g: PGroupType, budget) -> int:
     return total
 
 
+def _support(histogram: tuple[int, ...]) -> frozenset[int]:
+    return frozenset(v for v, count in enumerate(histogram) if count)
+
+
 @dataclass(frozen=True)
 class CellReport:
-    """Aggregates of one full sweep over the automorphisms of a cell."""
+    """One full sweep over the automorphisms of a cell.  Bin v of
+    ``r_histogram`` (``pi_histogram``) counts the automorphisms with
+    R = p^v (Pi = p^v)."""
 
     group: PGroupType
     endo_count: int
-    auto_count: int
-    r_exponents: frozenset[int]
-    pi_exponents: frozenset[int]
-    pi_min: int
-    pi_max: int
+    r_histogram: tuple[int, ...]
+    pi_histogram: tuple[int, ...]
     structure_violations: int
     samples_checked: int
     samples_ok: bool
+
+    @property
+    def auto_count(self) -> int:
+        return sum(self.r_histogram)
+
+    @property
+    def r_exponents(self) -> frozenset[int]:
+        return _support(self.r_histogram)
+
+    @property
+    def pi_exponents(self) -> frozenset[int]:
+        # the identity is an automorphism of every cell, so this is not empty
+        return _support(self.pi_histogram)
+
+    @property
+    def pi_min(self) -> int:
+        return min(self.pi_exponents)
+
+    @property
+    def pi_max(self) -> int:
+        return max(self.pi_exponents)
 
 
 @dataclass(frozen=True)
@@ -201,8 +225,9 @@ def _weights(radices) -> np.ndarray:
     return weights
 
 
-def _decode(indices: np.ndarray, strides: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    """Map endomorphism indices to (B, n, n) canonical matrices."""
+def _decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
+    """Map endomorphism indices to (B, n, n) canonical matrices, in int64."""
+    strides, counts = np.asarray(strides, dtype=np.int64), np.asarray(counts, dtype=np.int64)
     params = (indices[:, None] // _weights(counts)[None, :]) % counts[None, :]
     return (params * strides[None, :]).reshape(len(indices), n, n)
 
@@ -295,14 +320,6 @@ def _stack_dtype(g: PGroupType):
     return np.int32 if _product_bound(g) < 2**31 else np.int64
 
 
-def _power_below(p: int, limit: int) -> int:
-    """The largest power of p up to ``limit``."""
-    power = 1
-    while power * p <= limit:
-        power *= p
-    return power
-
-
 def _chunks(
     g: PGroupType, strides, counts, total: int, cap: int
 ) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
@@ -312,10 +329,11 @@ def _chunks(
     length, shift) is the decode of indices start .. start + length - 1,
     which is inner[:length] + shift."""
     limit = min(cap, total)
-    step = _power_below(g.p, limit)
+    step = 1  # p^K, the largest power of p up to limit
+    while step * g.p <= limit:
+        step *= g.p
     width = limit // step * step  # a * p^K with a < p
     cycle = min(step * g.p, total)
-    strides, counts = (np.array(v, dtype=np.int64) for v in (strides, counts))
     dtype = _stack_dtype(g)
     inner = _decode(np.arange(width, dtype=np.int64), strides, counts, g.n).astype(dtype)
     starts = [c + s for c in range(0, total, cycle) for s in range(0, cycle, width)]
@@ -329,12 +347,11 @@ def _walk(
     g: PGroupType, total: int, quota: int, cap: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Decode all ``total`` canonical endomorphisms of g in index order, in
-    chunks of the largest power of p up to ``cap`` and ``total``.  Yields
+    the chunks of at most ``cap`` rows that ``_chunks`` cuts.  Yields
     (mats, positions): the (B, n, n) chunk at ``_stack_dtype`` and the
     rows of it that ``_sample_indices(total, quota)`` selects."""
     samples = _sample_indices(total, quota)
-    strides, counts = canonical_parameters(g)
-    inner, chunks = _chunks(g, strides, counts, total, _power_below(g.p, min(cap, total)))
+    inner, chunks = _chunks(g, *canonical_parameters(g), total, cap)
     for start, length, shift in chunks:
         lo, hi = np.searchsorted(samples, (start, start + length))
         yield inner[:length] + shift, samples[lo:hi] - start
@@ -378,9 +395,8 @@ def _exponents(autos: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.ndarray
 def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
     """Re-check an even spread of the cell's endomorphisms through the
     batched stages against the per-object APIs."""
-    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     indices = _sample_indices(total, SWEEP_SAMPLES)
-    mats = _decode(indices, strides, counts, g.n).astype(_stack_dtype(g))
+    mats = _decode(indices, *canonical_parameters(g), g.n).astype(_stack_dtype(g))
     amask = _invertible_mod_p(mats, g.e, g.p)
     autos = mats[amask]
     r_exp, pi_exp = _exponents(autos, g)
@@ -408,15 +424,14 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
     total = _check_cell(g, budget)
     top = g.total_exponent
     r_hist = np.zeros(top + 1, dtype=np.int64)
-    pi_hist = r_hist if g.p == 2 else np.zeros((g.p - 1) * top + 1, dtype=np.int64)
+    pi_hist = np.zeros((g.p - 1) * top + 1, dtype=np.int64)
     violations = 0
 
     cap = max(1, min(1 << 13, (1 << 22) // max(1, math.factorial(g.n) * g.n)))
     for autos in _automorphisms(g, cap):
         r_exp, pi_exp = _exponents(autos, g)
         r_hist += np.bincount(r_exp, minlength=r_hist.size)
-        if pi_hist is not r_hist:
-            pi_hist += np.bincount(pi_exp, minlength=pi_hist.size)
+        pi_hist += np.bincount(pi_exp, minlength=pi_hist.size)
         violations += int((~_structure_ok(autos, g)).sum())
 
     auto_count = int(r_hist.sum())
@@ -426,16 +441,11 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
             f"the sweep of {g} walked {auto_count} automorphisms, not {expected}"
         )
     samples_checked, samples_ok = _recheck_samples(g, total)
-    # the identity is an automorphism of every cell, so pi_exps is not empty
-    pi_exps = np.flatnonzero(pi_hist).tolist()
     return CellReport(
         group=g,
         endo_count=total,
-        auto_count=auto_count,
-        r_exponents=frozenset(np.flatnonzero(r_hist).tolist()),
-        pi_exponents=frozenset(pi_exps),
-        pi_min=min(pi_exps),
-        pi_max=max(pi_exps),
+        r_histogram=tuple(r_hist.tolist()),
+        pi_histogram=tuple(pi_hist.tolist()),
         structure_violations=violations,
         samples_checked=samples_checked,
         samples_ok=samples_ok,

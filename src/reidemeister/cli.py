@@ -217,20 +217,14 @@ def cmd_pi(args: argparse.Namespace) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-def _closed_forms(g: PGroupType) -> tuple[set[int], set[int], int, int]:
-    dec = abc_decompose(g)
-    lo, hi = dec.floor_exponent, g.total_exponent
-    r_closed = spec_r_2group(g) if g.p == 2 else spec_r_odd_p(g)
-    return set(r_closed.ints()), set(spec_p(g).ints()), lo, hi
-
-
 def _verify_cell(g: PGroupType, budget: EnumBudget) -> tuple[_sweep.CellReport, dict]:
     rep = _sweep.sweep_cell(g, budget)
-    r_closed, pi_closed, lo, hi = _closed_forms(g)
+    r_closed = spec_r_2group(g) if g.p == 2 else spec_r_odd_p(g)
+    bounds = (abc_decompose(g).floor_exponent, g.total_exponent)
     checks = {
-        "R": {g.p**v for v in rep.r_exponents} == r_closed,
-        "Pi": {g.p**v for v in rep.pi_exponents} == pi_closed,
-        "bounds": rep.pi_min == lo and rep.pi_max == hi,
+        "R": {g.p**v for v in rep.r_exponents} == set(r_closed.ints()),
+        "Pi": {g.p**v for v in rep.pi_exponents} == set(spec_p(g).ints()),
+        "bounds": (rep.pi_min, rep.pi_max) == bounds,
         "structure": rep.structure_violations == 0,
         "samples": rep.samples_ok,
     }

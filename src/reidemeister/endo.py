@@ -132,7 +132,12 @@ def elements(g: PGroupType) -> Iterator[tuple[int, ...]]:
     return product(*map(range, g.moduli))
 
 
-def _divisibility_ok(g: PGroupType, m: IntMatrix) -> bool:
+def is_valid_endo(g: PGroupType, m: IntMatrix) -> bool:
+    """True iff m is n x n and satisfies the divisibility constraints."""
+    if m.rows != g.n or m.cols != g.n:
+        raise DimensionMismatch(
+            f"type {g} needs a {g.n}x{g.n} matrix, got {m.rows}x{m.cols}"
+        )
     p, e = g.p, g.e
     for i in range(g.n):
         row = m.row(i)
@@ -151,11 +156,7 @@ class EndoMatrix:
 
     def __post_init__(self) -> None:
         g = self.group
-        if self.m.rows != g.n or self.m.cols != g.n:
-            raise DimensionMismatch(
-                f"type {g} needs a {g.n}x{g.n} matrix, got {self.m.rows}x{self.m.cols}"
-            )
-        if not _divisibility_ok(g, self.m):
+        if not is_valid_endo(g, self.m):
             raise InvalidEndoMatrix(
                 f"matrix violates p^(e_i-e_j) divisibility for type {g}"
             )
@@ -173,15 +174,6 @@ class EndoMatrix:
 
     def __str__(self) -> str:
         return f"{self.group}: {self.m}"
-
-
-def is_valid_endo(g: PGroupType, m: IntMatrix) -> bool:
-    """True iff m is n x n and satisfies the divisibility constraints."""
-    if m.rows != g.n or m.cols != g.n:
-        raise DimensionMismatch(
-            f"type {g} needs a {g.n}x{g.n} matrix, got {m.rows}x{m.cols}"
-        )
-    return _divisibility_ok(g, m)
 
 
 def is_automorphism(em: EndoMatrix) -> bool:

@@ -1,4 +1,7 @@
 from collections import Counter
+from fractions import Fraction
+from itertools import groupby, product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -256,6 +259,78 @@ def test_auto_count_matches_hillar_rhea():
         assert _sweep.sweep_cell(g, DEFAULT_BUDGET).auto_count == _hillar_rhea_aut_count(g), g
 
 
+def _gl_counts(p, m):
+    # (|GL_m(F_p)|, g_m(0)): every m x m matrix mod p, counted when it is
+    # invertible, and when both M and M - I are
+    mats = np.array(list(product(range(p), repeat=m * m)), dtype=np.int64).reshape(-1, m, m)
+    unit = _sweep._batch_det(mats) % p != 0
+    free = _sweep._batch_det(mats - np.eye(m, dtype=np.int64)) % p != 0
+    return int(unit.sum()), int((unit & free).sum())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        PGroupType(2, (1, 1)),
+        PGroupType(2, (1, 1, 2, 2)),
+        PGroupType(2, (1, 1, 1, 1)),
+        PGroupType(2, (2, 2, 3)),
+        PGroupType(3, (1, 2)),
+        PGroupType(3, (1, 1, 2)),
+        PGroupType(3, (2, 2)),
+        PGroupType(3, (1, 1, 1)),
+        PGroupType(5, (1, 1)),
+        PGroupType(5, (1, 2)),
+    ],
+    ids=str,
+)
+def test_fixed_point_free_bin_matches_its_closed_form(g):
+    # R = 1 exactly when M - I is an automorphism, that is when each
+    # diagonal block of M - I over a run of equal exponents is invertible
+    # mod p, so #{R = 1} = |Aut A| * prod g_m(0) / |GL_m(F_p)| over runs
+    rep = _sweep.sweep_cell(g, DEFAULT_BUDGET)
+    expected = Fraction(_hillar_rhea_aut_count(g))
+    for _, run in groupby(g.e):
+        gl, free = _gl_counts(g.p, len(list(run)))
+        expected *= Fraction(free, gl)
+    assert rep.r_histogram[0] == expected
+    if g.p == 2:
+        # Pi = R at p = 2, where the only unit multiple is 1
+        assert rep.pi_histogram == rep.r_histogram
+
+
+def _gaussian(n, k, q):
+    return prod(q ** (n - i) - 1 for i in range(k)) // prod(q ** (i + 1) - 1 for i in range(k))
+
+
+def _gl_order(n, q):
+    return prod(q**n - q**i for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [PGroupType(2, (1,) * n) for n in (1, 2, 3, 4)]
+    + [PGroupType(3, (1,) * n) for n in (1, 2, 3)]
+    + [PGroupType(5, (1,) * n) for n in (1, 2)],
+    ids=str,
+)
+def test_elementary_abelian_r_histogram_matches_its_closed_form(g):
+    # for e = (1^n) the exponent of R is dim ker(M - I).  G(j) counts the
+    # pairs (W, M) with W of dimension j fixed pointwise by M; Moebius
+    # inversion over the subspace lattice gives the number g(k) of M with
+    # a fixed space of dimension k (Fulman, Bull. AMS 2002)
+    n, q = g.n, g.p
+    G = [_gaussian(n, j, q) * q ** (j * (n - j)) * _gl_order(n - j, q) for j in range(n + 1)]
+    expected = tuple(
+        sum(
+            (-1) ** (j - k) * q ** comb(j - k, 2) * _gaussian(j, k, q) * G[j]
+            for j in range(k, n + 1)
+        )
+        for k in range(n + 1)
+    )
+    assert _sweep.sweep_cell(g, DEFAULT_BUDGET).r_histogram == expected
+
+
 def test_triple_check_small_cells():
     for g in [PGroupType(2, (1, 1)), PGroupType(3, (1, 1)), PGroupType(2, (2, 2))]:
         rep = _sweep.triple_check(g, DEFAULT_BUDGET)
@@ -268,18 +343,19 @@ def test_triple_check_small_cells():
 def test_trivial_cell_reports(p):
     # the trivial group is the n = 0 case of the walk: one empty matrix
     g = PGroupType(p, ())
-    assert _sweep.sweep_cell(g, DEFAULT_BUDGET) == _sweep.CellReport(
+    rep = _sweep.sweep_cell(g, DEFAULT_BUDGET)
+    assert rep == _sweep.CellReport(
         group=g,
         endo_count=1,
-        auto_count=1,
-        r_exponents=frozenset({0}),
-        pi_exponents=frozenset({0}),
-        pi_min=0,
-        pi_max=0,
+        r_histogram=(1,),
+        pi_histogram=(1,),
         structure_violations=0,
         samples_checked=1,
         samples_ok=True,
     )
+    assert rep.auto_count == 1
+    assert rep.r_exponents == rep.pi_exponents == frozenset({0})
+    assert rep.pi_min == rep.pi_max == 0
     assert _sweep.triple_check(g, DEFAULT_BUDGET) == _sweep.TripleReport(g, 1, 0, 1, True)
 
 
@@ -298,15 +374,18 @@ def test_trivial_cell_reports(p):
 @pytest.mark.parametrize("cap", [10, 8192])
 def test_walk_is_carry_free(g, cap):
     # each chunk is the first one plus its decoded start; concatenated,
-    # the chunks must be the plain decode of every index
+    # the chunks must be the plain decode of every index.  A chunk is
+    # a * p^K <= cap rows (a < p), or the rest of its p^(K+1) cycle
     strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     total = endomorphism_count(g)
     samples = _sweep._sample_indices(total, _sweep.SWEEP_SAMPLES)
-    size = max(g.p**k for k in range(64) if g.p**k <= min(cap, total))
+    step = max(g.p**k for k in range(64) if g.p**k <= min(cap, total))
+    width = min(cap, total) // step * step
+    cycle = min(step * g.p, total)
     chunks, start = [], 0
     for mats, positions in _sweep._walk(g, total, _sweep.SWEEP_SAMPLES, cap):
         stop = start + len(mats)
-        assert len(mats) == size
+        assert len(mats) == min(width, cycle - start % cycle)
         assert positions.tolist() == [v - start for v in samples if start <= v < stop]
         chunks.append(mats)
         start = stop
@@ -316,20 +395,20 @@ def test_walk_is_carry_free(g, cap):
 
 
 def test_samples_survive_chunk_boundaries(monkeypatch):
-    # triple_check's chunk is the largest power of p up to its cap,
-    # min(8192, 2^19 // (order * n)), and the endomorphism count.
+    # triple_check's cap is min(8192, 2^19 // (order * n)); its chunks
+    # are a * p^K rows up to the cap, or the rest of a p^(K+1) cycle.
     # sweep_cell's cap is 8192 for n <= 4; when the free digits fit it,
     # each of its chunks is cap // (free values) kept residue patterns
     # times every free value.  p=2 e=1,1,1,2: 2^17 endomorphisms of a
     # group of order 32, so 32 triple chunks of 2^19 // 128 = 4096; 168
     # patterns (GL_3(F_2) x GL_1(F_2)) times 2^7 free values, 64 to a
     # sweep chunk.  p=3 e=1,1,2: 3^10 endomorphisms of a group of order
-    # 81, so under the cap 2^19 // 243 = 2157, 81 triple chunks of
-    # 3^6 = 729; 96 patterns (GL_2(F_3) x GL_1(F_3)) times 3^5 free
-    # values, 33 to a sweep chunk
+    # 81, so under the cap 2^19 // 243 = 2157, chunks of 2 * 3^6 = 1458
+    # and the 729 left of each 3^7 cycle, 27 cycles; 96 patterns
+    # (GL_2(F_3) x GL_1(F_3)) times 3^5 free values, 33 to a sweep chunk
     cases = [
         (PGroupType(2, (1, 1, 1, 2)), [64 * 128] * 2 + [40 * 128], [4096] * 32),
-        (PGroupType(3, (1, 1, 2)), [33 * 243] * 2 + [30 * 243], [729] * 81),
+        (PGroupType(3, (1, 1, 2)), [33 * 243] * 2 + [30 * 243], [1458, 729] * 27),
     ]
     chunks = []
 
@@ -395,10 +474,14 @@ def test_automorphism_walk_is_the_filtered_endomorphisms(g, cap):
 
 def test_automorphism_walk_batches_primes_past_the_cap():
     # p = 8209 > 8192, sweep_cell's cap for n = 1: the residues split into
-    # chunks of 8192 and 17 patterns, so no chunk is a single row
+    # chunks of 8192 and 17 patterns, so no chunk is a single row.  At
+    # triple_check's cap for this cell, 2^19 // 8209 = 63, _walk cuts the
+    # one 8209-index cycle into 130 chunks of 63 rows and the 19 left
     g = PGroupType(8209, (1,))
     lengths = [len(mats) for mats in _sweep._automorphisms(g, 8192)]
     assert lengths == [8191, 17]
+    lengths = [len(mats) for mats, _ in _sweep._walk(g, g.p, 1, 63)]
+    assert lengths == [63] * 130 + [19]
 
 
 def test_sweep_cell_checks_its_walk_against_hillar_rhea(monkeypatch):
