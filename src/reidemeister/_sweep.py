@@ -1,70 +1,32 @@
 """Vectorized exhaustive sweeps over canonical endomorphism matrices.
 
-The verification suites walk the canonical endomorphisms of a cell
-(p, e), about 10^6 in the larger cells: far too many to build one
-EndoMatrix at a time.  Both walks decode parameter indices in numpy
-chunks, and ``_chunks`` alone sizes them; the trivial group is their
-case n = 0 (one empty matrix).  Every parameter count is a power of p,
-so a chunk of a * p^K <= cap indices (a < p) that starts at a multiple
-of it and stays inside one multiple of p^{K+1} never carries into digit
-K + 1: the chunk is the first one, decoded once, plus its decoded start.
+A cell (p, e) has up to about 10^6 canonical endomorphisms, too many to
+build one EndoMatrix at a time.  Both walks decode parameter indices in
+numpy chunks that ``_chunks`` alone sizes (the trivial group is n = 0):
+``triple_check`` walks every endomorphism (``_walk``) and counts its
+fixed points three ways, ``sweep_cell`` only the automorphisms.
 
-``triple_check`` walks every endomorphism (``_walk``); ``sweep_cell``
-walks only the automorphisms (``_automorphisms``).  p | M_ij when
-e_i > e_j, so mod p a canonical matrix is block upper triangular over
-the runs of equal exponents (Hillar and Rhea, Amer. Math. Monthly
-2007), and it is invertible exactly when each diagonal block is.  A
-diagonal-block entry (e_i = e_j) has stride 1, so its residue mod p is
-its parameter's lowest digit.  These digits are the residue pattern;
-the rest of the entry (stride p) and every other entry are the free
-digits.  The walk decodes the patterns in chunks and keeps those whose
-diagonal blocks have a unit Leibniz determinant mod p.  It adds every
-value of the free digits to each kept pattern, in chunks of free values
-when they do not fit the cap, and several patterns to a chunk when they
-do.  The walk never holds all kept patterns at once, and
-``sweep_cell`` checks the number of rows walked against the Hillar-Rhea
-count.  Per chunk, ``sweep_cell`` evaluates:
+p | M_ij when e_i > e_j, so mod p a canonical matrix M is block upper
+triangular over the runs of equal exponents (Hillar and Rhea, Amer.
+Math. Monthly 2007): it is invertible exactly when each diagonal block
+B is, and the residues of the block entries, the residue pattern,
+decide that.  The walk keeps each pattern whose blocks have a unit
+determinant mod p and adds every value of the other, free, digits.
+kM - I has the same shape, so |Fix(kM)| = 1 exactly when every k*B - I
+is invertible mod p.  A multiplier k is live for a pattern when some
+k*B - I is singular, that is when 1/k is an eigenvalue of B mod p (for
+a 1x1 block r, k = 1/r).  A pattern has at most n live multipliers,
+every other k has exponent 0, and ``_fix_exponents`` runs on the live
+(row, k) pairs only.  The rows walked are checked against the
+Hillar-Rhea count.
 
-* fixed-point counts of every unit multiple k*M.  |Fix| is the index of
-  the column lattice of [kM - I | diag(p^{e_i})].  Scaling row i by
-  p^{E - e_i}, with E = e_n, turns the block into [N | p^E I], so the
-  exponent is the sum of the Smith valuations of N over Z/p^E (each
-  capped at E) minus sum(E - e_i).  The valuations come from a batched
-  valuation-pivot elimination (Storjohann and Mulders, "Fast algorithms
-  for linear algebra modulo N", ESA 1998): take the entry of least
-  valuation, clear its column with the inverse-free row operation
-  u*row_i - (a_ic / p^v)*row_r, where u is the pivot's unit part, and
-  drop the pivot row and column.  The exponents of R and of Pi (the sum
-  over the multiples) go into one histogram each per cell,
-* validity, invertibility (runs of e - d) and mod-p column structure
-  of the matrices conjugated by diag(p^{d_i}) for the depth vector d(e).
-
-``triple_check`` counts the fixed points of every endomorphism by brute
-force and by the image of x - phi(x), both as float matmuls over an
-element table, and by the lattice index above.  This element kernel is
-memory-bound, so its cap is min(8192, 2^19 // (order * n)) rows: each
-(chunk, n, order) intermediate then holds at most 2^19 entries, 2 MiB as
-float32 or int32, a typical per-core L2 cache.  Chunks of 2^23 entries,
-32 MiB each, made the kernel 1.3-1.4x slower.
-
-All arithmetic stays exact.  Every entry of a stack is below p^E, and
-every intermediate of the stages below p^{2E} in absolute value
-(p^{E+1} when n = 1, which has no elimination).  ``_chunks`` decodes
-in int64 and returns int32 stacks when that bound is below 2^31, int64
-stacks otherwise; every stage keeps its operands at the stack's dtype,
-and only ``_batch_det`` accumulates its mod-p products in int64.
-``batchable`` holds the int64 bounds, and the element kernel needs its
-dot products below 2^53; cells outside these bounds raise
-BudgetExceeded like cells over the enumeration budget.  Every reduction
-is ``_reduce``, a - (a // m) * m for a Python-int scalar m: numpy
-divides by a scalar with a multiply and shift (Granlund and Montgomery,
-PLDI 1994) but runs ``%`` as one hardware division per element, about
-ten times slower.  A deterministic sample of endomorphism indices from
-every cell, automorphisms or not, is decoded and re-checked through the
-plain per-object APIs
-(fixed_point_count, product_number, restrict, column_structure_check,
-brute_fixed_points, twisted_class_count), so the batched results stay
-anchored to the reference implementations.
+All arithmetic stays exact: ``_product_bound`` bounds every intermediate
+of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
+every reduction is ``_reduce``, and cells past the int64 bounds of
+``batchable`` raise BudgetExceeded like cells over the enumeration
+budget.  A deterministic sample of every cell, automorphisms or not, is
+re-checked through the plain per-object APIs, so the batched results
+stay anchored to the reference implementations.
 """
 
 from __future__ import annotations
@@ -113,8 +75,10 @@ def batchable(g: PGroupType) -> bool:
 
 
 def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    """a mod m for a Python int m > 0, as a - (a // m) * m; see the module
-    docstring.  (a // m) * m lies in (a - m, a], and with |a| < p^{2E},
+    """a mod m for a Python int m > 0, as a - (a // m) * m: numpy divides by
+    a scalar with a multiply and shift (Granlund and Montgomery, PLDI 1994)
+    but runs ``%`` as one hardware division per element, about ten times
+    slower.  (a // m) * m lies in (a - m, a], and with |a| < p^{2E},
     m <= p^E it keeps the stack's dtype: p^{2E} + p^E < 2^31 whenever
     p^{2E} < 2^31.  Writes into ``out`` when given, which must be a
     temporary of the caller, never a view of its input."""
@@ -186,12 +150,8 @@ class TripleReport:
 @lru_cache(maxsize=None)
 def _perm_data(n: int) -> tuple[np.ndarray, np.ndarray]:
     perms = list(permutations(range(n)))
-    signs = []
-    for perm in perms:
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        signs.append(-1 if inv % 2 else 1)
+    # the sign of a permutation is -1 to the number of its inversions
+    signs = [(-1) ** sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n)) for s in perms]
     return np.array(perms, dtype=np.int64), np.array(signs, dtype=np.int64)
 
 
@@ -232,15 +192,24 @@ def _decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
     return (params * strides[None, :]).reshape(len(indices), n, n)
 
 
-def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier: int) -> np.ndarray:
-    """Exponent of |Fix(mul_multiplier . phi)| for a stack of matrices."""
+def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
+    """Exponent of |Fix(mul_k . phi)| for a stack of matrices, with one
+    multiplier k for the stack or an array of one per row.  |Fix| is the
+    index of the column lattice of [kM - I | diag(p^{e_i})]; scaling row i
+    by p^{E - e_i}, E = e_n, makes it [N | p^E I], so the exponent is the
+    sum of the Smith valuations of N over Z/p^E minus sum(E - e_i).  They
+    come from a batched valuation-pivot elimination (Storjohann and
+    Mulders, ESA 1998): clear the column of an entry of least valuation
+    with the inverse-free u*row_i - (a_ic / p^v)*row_r, u the pivot's unit
+    part, and drop the pivot row and column."""
     n, p = g.n, g.p
     top_exp = max(g.e, default=0)
     top = p**top_exp
     scale = top // np.array(g.moduli, dtype=mats.dtype)
     # reducing row i mod p^{e_i} and then scaling it by p^{E - e_i} is
     # the same as scaling first and reducing mod p^E
-    work = mats * (multiplier * scale)[None, :, None]
+    multiplier = np.asarray(multiplier, dtype=mats.dtype)
+    work = mats * np.multiply.outer(multiplier, scale)[..., None]
     work -= np.diag(scale)
     _reduce(work, top, out=work)
     batch = mats.shape[0]
@@ -273,15 +242,13 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
     """Per matrix: conjugate by diag(p^{d_i}), then check that the result
     is a valid invertible matrix on the subgroup type e - d and that every
     b/c-block start column is zero mod p off the diagonal and a unit on it."""
-    n = g.n
-    p = g.p
+    n, p = g.n, g.p
     dec = abc_decompose(g)
-    depths = np.array(dec.d, dtype=np.int64)
     p_d = np.array([p**int(v) for v in dec.d], dtype=mats.dtype)
-    sub_e = np.array(g.e, dtype=np.int64) - depths
+    sub_e = np.array(g.e, dtype=np.int64) - np.array(dec.d, dtype=np.int64)
     conjugated = mats * p_d[None, None, :]
     for i, d in enumerate(dec.d):
-        if d:  # by a Python-int scalar: see the module docstring
+        if d:  # by a Python-int scalar: see _reduce
             conjugated[:, i, :] //= p**d
 
     ok = np.ones(mats.shape[0], dtype=bool)
@@ -292,10 +259,7 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
                 ok &= _reduce(conjugated[:, i, j], p**gap) == 0
     # d(e) is characteristic, so sub_e is nondecreasing and the loop above gives p | M_ij
     ok &= _invertible_mod_p(conjugated, sub_e, p)
-    for blk in dec.blocks:
-        if blk.kind == "a":
-            continue
-        j = blk.start
+    for j in [blk.start for blk in dec.blocks if blk.kind != "a"]:  # b/c-block starts
         col = _reduce(conjugated[:, :, j], p)
         diag_entry = col[:, j].copy()
         col[:, j] = 0
@@ -324,10 +288,13 @@ def _chunks(
     g: PGroupType, strides, counts, total: int, cap: int
 ) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
     """Digit-aligned chunks of the first ``total`` indices of the parameter
-    space with these row-major ``strides`` and ``counts`` (powers of p);
-    see the module docstring.  Returns (inner, chunks): chunk (start,
-    length, shift) is the decode of indices start .. start + length - 1,
-    which is inner[:length] + shift."""
+    space with these row-major ``strides`` and ``counts`` (powers of p).
+    A chunk of a * p^K <= cap indices (a < p) that starts at a multiple of
+    it inside one multiple of p^{K+1} never carries into digit K + 1: it
+    is the first chunk, decoded once, plus its decoded start.  Returns
+    (inner, chunks): chunk (start, length, shift) is the decode of indices
+    start .. start + length - 1, which is inner[:length] + shift, at
+    ``_stack_dtype``."""
     limit = min(cap, total)
     step = 1  # p^K, the largest power of p up to limit
     while step * g.p <= limit:
@@ -357,11 +324,43 @@ def _walk(
         yield inner[:length] + shift, samples[lo:hi] - start
 
 
-def _automorphisms(g: PGroupType, cap: int) -> Iterator[np.ndarray]:
+def _inverse_mod_p(units: np.ndarray, p: int) -> np.ndarray:
+    """u^{-1} = u^{p-2} mod p (Fermat) for residues u != 0, by square and
+    multiply: every product stays below p^2."""
+    result, power, e = np.ones_like(units), units, p - 2
+    while e:
+        if e & 1:
+            result = _reduce(result * power, p)
+        power = _reduce(power * power, p)
+        e >>= 1
+    return result
+
+
+def _live(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray | None, np.ndarray]:
+    """The live (row, k) pairs of a stack of automorphisms or of their
+    residue patterns, as arrays (rows, ks) sorted by row then k: k*M - I is
+    not invertible mod p, see the module docstring.  rows is None when each
+    row has one live k, ks[i] that of row i.  A 1x1 block r makes only
+    r^{-1} live; blocks of size >= 2 are tested for every k."""
+    p, every = g.p, np.arange(len(mats))
+    singles = [i for i, v in enumerate(g.e) if g.e.count(v) == 1]
+    inverses = [_inverse_mod_p(_reduce(mats[:, i, i], p), p) for i in singles]
+    if g.n == 1:  # one 1x1 block: r^{-1} is the one live k of each row
+        return None, inverses[0]
+    codes = [every * p + ks for ks in inverses]
+    if len(singles) < g.n:
+        eye = np.eye(g.n, dtype=mats.dtype)
+        codes += [every[~_invertible_mod_p(k * mats - eye, g.e, p)] * p + k for k in range(1, p)]
+    rows, ks = np.divmod(np.unique(np.concatenate(codes or [every[:0]])), p)
+    return (None if np.array_equal(rows, every) else rows), ks
+
+
+def _automorphisms(g: PGroupType, cap: int) -> Iterator[tuple[np.ndarray, tuple]]:
     """Every automorphism of g once, in (B, n, n) chunks of at most ``cap``
     rows at ``_stack_dtype``: each residue pattern of the diagonal blocks
     that ``_invertible_mod_p`` accepts, plus every value of the free
-    digits; see the module docstring."""
+    digits; see the module docstring.  Yields (rows, live), live the
+    ``_live`` pairs of the chunk's patterns spread over its rows."""
     n = g.n
     strides, counts = canonical_parameters(g)
     # a diagonal-block entry (e_i = e_j) has stride 1: its residue mod p
@@ -369,26 +368,36 @@ def _automorphisms(g: PGroupType, cap: int) -> Iterator[np.ndarray]:
     radix = [g.p if ei == ej else 1 for ei in g.e for ej in g.e]
     pattern_inner, patterns = _chunks(g, [1] * (n * n), radix, math.prod(radix), cap)
     free_counts = [c // r for c, r in zip(counts, radix)]
-    free_inner, frees = _chunks(
-        g, [s * r for s, r in zip(strides, radix)], free_counts, math.prod(free_counts), cap
-    )
+    free_strides = [s * r for s, r in zip(strides, radix)]
+    free_inner, frees = _chunks(g, free_strides, free_counts, math.prod(free_counts), cap)
     per = cap // len(free_inner)  # kept patterns per chunk
     for _, length, shift in patterns:
         block = pattern_inner[:length] + shift
         kept = block[_invertible_mod_p(block, g.e, g.p)]
-        for k in range(0, len(kept), per):
+        for first in range(0, len(kept), per):
+            group = kept[first : first + per]
+            live, ks = _live(group, g)
             for _, free_length, free_shift in frees:
-                rows = (kept[k : k + per, None] + free_shift) + free_inner[:free_length]
-                yield rows.reshape(rows.shape[0] * rows.shape[1], n, n)
+                rows = (group[:, None] + free_shift) + free_inner[:free_length]
+                spread = live  # pattern i is rows i * free_length .. (i + 1) * free_length - 1
+                if live is not None:
+                    spread = (live[:, None] * free_length + np.arange(free_length)).reshape(-1)
+                rows = rows.reshape(rows.shape[0] * rows.shape[1], n, n)
+                yield rows, (spread, np.repeat(ks, free_length))
 
 
-def _exponents(autos: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.ndarray]:
+def _exponents(autos: np.ndarray, live, g: PGroupType) -> tuple[np.ndarray, np.ndarray]:
     """Per automorphism: the exponents of R and of Pi, the sum of the R
-    exponents of every unit multiple.  For p = 2 they are one array."""
-    r_exp = _fix_exponents(autos, g, 1)
-    pi_exp = r_exp
-    for mult in range(2, g.p):
-        pi_exp = pi_exp + _fix_exponents(autos, g, mult)
+    exponents of every unit multiple, from one elimination per live
+    (row, k) pair of ``_live``; every other pair contributes 0."""
+    rows, ks = live
+    if rows is None:  # one live pair per row, in row order
+        exps = _fix_exponents(autos, g, ks)
+        return np.where(ks == 1, exps, 0), exps
+    exps = _fix_exponents(autos[rows], g, ks)
+    r_exp, pi_exp = np.zeros((2, len(autos)), dtype=exps.dtype)
+    r_exp[rows[ks == 1]] = exps[ks == 1]
+    np.add.at(pi_exp, rows, exps)
     return r_exp, pi_exp
 
 
@@ -399,7 +408,7 @@ def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
     mats = _decode(indices, *canonical_parameters(g), g.n).astype(_stack_dtype(g))
     amask = _invertible_mod_p(mats, g.e, g.p)
     autos = mats[amask]
-    r_exp, pi_exp = _exponents(autos, g)
+    r_exp, pi_exp = _exponents(autos, _live(autos, g), g)
     rows = zip(r_exp.tolist(), pi_exp.tolist(), _structure_ok(autos, g).tolist())
     dec = abc_decompose(g)
     ok = True
@@ -428,8 +437,8 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
     violations = 0
 
     cap = max(1, min(1 << 13, (1 << 22) // max(1, math.factorial(g.n) * g.n)))
-    for autos in _automorphisms(g, cap):
-        r_exp, pi_exp = _exponents(autos, g)
+    for autos, live in _automorphisms(g, cap):
+        r_exp, pi_exp = _exponents(autos, live, g)
         r_hist += np.bincount(r_exp, minlength=r_hist.size)
         pi_hist += np.bincount(pi_exp, minlength=pi_hist.size)
         violations += int((~_structure_ok(autos, g)).sum())
@@ -441,22 +450,14 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
             f"the sweep of {g} walked {auto_count} automorphisms, not {expected}"
         )
     samples_checked, samples_ok = _recheck_samples(g, total)
-    return CellReport(
-        group=g,
-        endo_count=total,
-        r_histogram=tuple(r_hist.tolist()),
-        pi_histogram=tuple(pi_hist.tolist()),
-        structure_violations=violations,
-        samples_checked=samples_checked,
-        samples_ok=samples_ok,
-    )
+    histograms = tuple(r_hist.tolist()), tuple(pi_hist.tolist())
+    return CellReport(g, total, *histograms, violations, samples_checked, samples_ok)
 
 
 def _reference_structure_ok(em: EndoMatrix, dec) -> bool:
-    restricted = restrict(em, dec.d)
-    if not is_automorphism(restricted):
-        return False
-    return all(r.ok for r in column_structure_check(em))
+    return is_automorphism(restrict(em, dec.d)) and all(
+        r.ok for r in column_structure_check(em)
+    )
 
 
 @lru_cache(maxsize=64)
@@ -486,10 +487,11 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
     weights_i = weights.astype(int_dtype)
     low_bits = (moduli - 1).astype(int_dtype)
 
-    mismatches = 0
-    samples_checked = 0
-    samples_ok = True
+    mismatches, samples_checked, samples_ok = 0, 0, True
 
+    # the element kernel is memory-bound: with at most 2^19 entries per
+    # (chunk, n, order) intermediate, 2 MiB as float32 or int32, it stays in
+    # a typical per-core L2 cache (2^23 entries made it 1.3-1.4x slower)
     chunk = max(1, min(1 << 13, (1 << 19) // max(1, order * n)))
     for mats, positions in _walk(g, total, TRIPLE_SAMPLES, chunk):
         # difference element x - phi(x), encoded in mixed radix; an
@@ -522,12 +524,10 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
         samples_checked += len(positions)
         for pos in positions:
             em = _to_endo(g, mats[pos])
-            reference = brute_fixed_points(em, budget)
-            if reference != int(brute[pos]):
-                samples_ok = False
-            if twisted_class_count(em, budget) != int(twisted[pos]):
-                samples_ok = False
-            if fixed_point_count(em).to_int() != int(lattice[pos]):
-                samples_ok = False
+            samples_ok &= (
+                brute_fixed_points(em, budget) == int(brute[pos])
+                and twisted_class_count(em, budget) == int(twisted[pos])
+                and fixed_point_count(em).to_int() == int(lattice[pos])
+            )
 
     return TripleReport(g, total, mismatches, samples_checked, samples_ok)

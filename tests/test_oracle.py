@@ -74,9 +74,8 @@ def test_enumeration_is_lexicographic():
 )
 def test_decode_matches_enumeration_order(g):
     # the numpy decoder and the per-object reference define one order
-    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     total = endomorphism_count(g)
-    mats = _sweep._decode(np.arange(total, dtype=np.int64), strides, counts, g.n)
+    mats = _sweep._decode(np.arange(total, dtype=np.int64), *canonical_parameters(g), g.n)
     decoded = [tuple(int(v) for v in mat.ravel()) for mat in mats]
     assert decoded == [em.m.entries for em in enumerate_endomorphisms(g)]
 
@@ -376,7 +375,6 @@ def test_walk_is_carry_free(g, cap):
     # each chunk is the first one plus its decoded start; concatenated,
     # the chunks must be the plain decode of every index.  A chunk is
     # a * p^K <= cap rows (a < p), or the rest of its p^(K+1) cycle
-    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     total = endomorphism_count(g)
     samples = _sweep._sample_indices(total, _sweep.SWEEP_SAMPLES)
     step = max(g.p**k for k in range(64) if g.p**k <= min(cap, total))
@@ -390,7 +388,7 @@ def test_walk_is_carry_free(g, cap):
         chunks.append(mats)
         start = stop
     assert start == total
-    expected = _sweep._decode(np.arange(total, dtype=np.int64), strides, counts, g.n)
+    expected = _sweep._decode(np.arange(total, dtype=np.int64), *canonical_parameters(g), g.n)
     assert np.array_equal(np.concatenate(chunks), expected)
 
 
@@ -415,7 +413,7 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
     def counting(walk):
         def counted(*args):
             for item in walk(*args):
-                chunks.append(len(item) if isinstance(item, np.ndarray) else len(item[0]))
+                chunks.append(len(item[0]))  # both walks yield (rows, ...)
                 yield item
 
         return counted
@@ -463,7 +461,7 @@ def test_automorphism_walk_is_the_filtered_endomorphisms(g, cap):
     expected = Counter()
     for mats, _ in _sweep._walk(g, total, 1, 8192):
         expected += _multiset(mats[_sweep._invertible_mod_p(mats, g.e, g.p)])
-    chunks = list(_sweep._automorphisms(g, cap))
+    chunks = [rows for rows, _ in _sweep._automorphisms(g, cap)]
     assert len(chunks) > 1 or g.n == 0
     assert all(0 < len(mats) <= cap and mats.dtype == np.int32 for mats in chunks)
     walked = np.concatenate(chunks)
@@ -478,7 +476,7 @@ def test_automorphism_walk_batches_primes_past_the_cap():
     # triple_check's cap for this cell, 2^19 // 8209 = 63, _walk cuts the
     # one 8209-index cycle into 130 chunks of 63 rows and the 19 left
     g = PGroupType(8209, (1,))
-    lengths = [len(mats) for mats in _sweep._automorphisms(g, 8192)]
+    lengths = [len(mats) for mats, _ in _sweep._automorphisms(g, 8192)]
     assert lengths == [8191, 17]
     lengths = [len(mats) for mats, _ in _sweep._walk(g, g.p, 1, 63)]
     assert lengths == [63] * 130 + [19]
@@ -495,6 +493,68 @@ def test_sweep_cell_checks_its_walk_against_hillar_rhea(monkeypatch):
     monkeypatch.setattr(_sweep, "_automorphisms", dropping_walk)
     with pytest.raises(InvariantViolation, match="walked"):
         _sweep.sweep_cell.__wrapped__(PGroupType(2, (1, 1)), DEFAULT_BUDGET)
+
+
+def _live_pairs(rows, live):
+    # the (row, k) pairs of a walk chunk's live set
+    live_rows, ks = live
+    if live_rows is None:
+        live_rows = np.arange(len(rows))
+    return set(zip(live_rows.tolist(), ks.tolist()))
+
+
+@pytest.mark.parametrize(
+    "g, cap",
+    [
+        (PGroupType(2, (1, 1, 1, 1)), 8192),
+        (PGroupType(2, (1, 1, 2)), 8192),
+        (PGroupType(3, (1, 1, 2)), 8192),
+        (PGroupType(5, (2, 2)), 8192),
+        (PGroupType(7, (1, 1)), 8192),
+        # 1x1 blocks at p = 7, with patterns spread over chunks of free values
+        (PGroupType(7, (1, 2)), 20),
+    ],
+    ids=str,
+)
+def test_live_multipliers_are_the_nonzero_exponents(g, cap):
+    # every automorphism and every unit multiple: the walk's live pairs
+    # are exactly the (row, k) with a nonzero _fix_exponents, and the
+    # R and Pi exponents built from them are those of every multiple
+    walked = 0
+    for rows, live in _sweep._automorphisms(g, cap):
+        exps = {k: _sweep._fix_exponents(rows, g, k) for k in range(1, g.p)}
+        nonzero = {(i, k) for k, e in exps.items() for i in np.flatnonzero(e).tolist()}
+        assert _live_pairs(rows, live) == nonzero
+        assert len(live[1]) <= g.n * len(rows)
+        r_exp, pi_exp = _sweep._exponents(rows, live, g)
+        assert np.array_equal(r_exp, exps[1])
+        assert np.array_equal(pi_exp, sum(exps.values()))
+        walked += len(rows)
+    assert walked == _hillar_rhea_aut_count(g)
+
+
+def test_live_multipliers_need_at_most_n_eliminations_per_automorphism(monkeypatch):
+    # p = 1009: one live multiplier, r^-1 mod p, per automorphism instead
+    # of p - 1 = 1008 eliminations
+    g = PGroupType(1009, (2,))
+    passed = []
+    fix = _sweep._fix_exponents
+
+    def counted(mats, *args):
+        passed.append(len(mats))
+        return fix(mats, *args)
+
+    monkeypatch.setattr(_sweep, "_fix_exponents", counted)
+    walked = 0
+    r_hist = np.zeros(g.total_exponent + 1, dtype=np.int64)
+    for rows, live in _sweep._automorphisms(g, 8192):
+        r_exp, _ = _sweep._exponents(rows, live, g)
+        r_hist += np.bincount(r_exp, minlength=r_hist.size)
+        walked += len(rows)
+    assert walked == _hillar_rhea_aut_count(g)
+    assert sum(passed) <= g.n * walked
+    # |Fix(phi)| for phi = x -> r x on Z/p^2 is gcd(r - 1, p^2)
+    assert r_hist.tolist() == [(g.p - 2) * g.p, g.p - 1, 1]
 
 
 def _full_det_invertible(mats, exps, p):
@@ -578,11 +638,10 @@ def test_unbatchable_cell_is_over_budget():
 def test_fix_exponents_matches_fixed_point_count(g):
     # cells the Leibniz-minor engine refused: large entries, or n = 6
     assert _sweep.batchable(g)
-    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     total = endomorphism_count(g)
     idx = np.unique(np.linspace(0, total - 1, 97).astype(np.int64))
     idx = np.concatenate([idx, np.random.default_rng(7).integers(0, total, 60)])
-    mats = _sweep._decode(idx, strides, counts, g.n)
+    mats = _sweep._decode(idx, *canonical_parameters(g), g.n)
     for k in range(1, g.p):
         batched = _sweep._fix_exponents(mats, g, k)
         for mat, exp in zip(mats, batched):
