@@ -22,11 +22,11 @@ Hillar-Rhea count.
 
 All arithmetic stays exact: ``_product_bound`` bounds every intermediate
 of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
-every reduction is ``_reduce``, and cells past the int64 bounds of
-``batchable`` raise BudgetExceeded like cells over the enumeration
-budget.  A deterministic sample of every cell, automorphisms or not, is
-re-checked through the plain per-object APIs, so the batched results
-stay anchored to the reference implementations.
+every reduction is ``_reduce`` or, in the p = 2 element kernel, a mask,
+and cells past the int64 bounds of ``batchable`` raise BudgetExceeded
+like cells over the enumeration budget.  A deterministic sample of every
+cell, automorphisms or not, is re-checked through the plain per-object
+APIs, so the batched results stay anchored to the reference implementations.
 """
 
 from __future__ import annotations
@@ -75,13 +75,17 @@ def batchable(g: PGroupType) -> bool:
 
 
 def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
-    """a mod m for a Python int m > 0, as a - (a // m) * m: numpy divides by
-    a scalar with a multiply and shift (Granlund and Montgomery, PLDI 1994)
-    but runs ``%`` as one hardware division per element, about ten times
-    slower.  (a // m) * m lies in (a - m, a], and with |a| < p^{2E},
-    m <= p^E it keeps the stack's dtype: p^{2E} + p^E < 2^31 whenever
-    p^{2E} < 2^31.  Writes into ``out`` when given, which must be a
-    temporary of the caller, never a view of its input."""
+    """a mod m for a Python int m > 0.  At a power of two it is the mask
+    a & (m - 1), which in two's complement is a mod m for negative a too.
+    Elsewhere it is a - (a // m) * m: numpy divides by a scalar with a
+    multiply and shift (Granlund and Montgomery, PLDI 1994) but runs ``%``
+    as one hardware division per element, about ten times slower.
+    (a // m) * m lies in (a - m, a], and with |a| < p^{2E}, m <= p^E it
+    keeps the stack's dtype: p^{2E} + p^E < 2^31 whenever p^{2E} < 2^31.
+    Writes into ``out`` when given, which must be a temporary of the
+    caller, never a view of its input."""
+    if m & (m - 1) == 0:
+        return np.bitwise_and(a, m - 1, out=out)
     q = a // m
     q *= m
     return np.subtract(a, q, out=out)
@@ -201,7 +205,8 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     come from a batched valuation-pivot elimination (Storjohann and
     Mulders, ESA 1998): clear the column of an entry of least valuation
     with the inverse-free u*row_i - (a_ic / p^v)*row_r, u the pivot's unit
-    part, and drop the pivot row and column."""
+    part, and drop the pivot row and column.  The pivot key of an entry a
+    is gcd(a, p^E); at p = 2 that is the lowest set bit of a | 2^E."""
     n, p = g.n, g.p
     top_exp = max(g.e, default=0)
     top = p**top_exp
@@ -219,9 +224,13 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     pivots = np.empty((batch, n), dtype=mats.dtype)
     for step in range(n):
         flat = work.reshape(batch, n * n)
-        gcds = np.gcd(flat, top)
-        at = gcds.argmin(axis=1)
-        pivot = gcds[rows, at]
+        if p == 2:
+            keys = flat | top
+            keys &= -keys
+        else:
+            keys = np.gcd(flat, top)
+        at = keys.argmin(axis=1)
+        pivot = keys[rows, at]
         pivots[:, step] = pivot
         if step == n - 1:
             break

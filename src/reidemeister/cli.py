@@ -16,6 +16,7 @@ Codes 2-5 and 7 are the ``exit_code`` of the error class raised.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -347,6 +348,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 _GROUP_HELP = "cyclic orders '4,3' or 'p=2 e=2,3'"
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="reidemeister",

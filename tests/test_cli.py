@@ -281,6 +281,17 @@ def test_verify_json(capsys):
     assert all(cell["checks"].values())
 
 
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # build_parser is cached: a flag given in one call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["verify", "-p", "2", "-e", "2,3"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["summary"]["failed"] == 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and not out.startswith("{")
+    assert "p=2 e=2,3" in out and " 0 failed" in out.splitlines()[-1]
+
+
 def test_verify_small_budget_sweep(capsys):
     code, out, _ = run(capsys, "verify", "-p", "2", "--max-endos", "4096")
     assert code == 0

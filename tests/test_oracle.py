@@ -632,16 +632,24 @@ def test_unbatchable_cell_is_over_budget():
 
 @pytest.mark.parametrize(
     "g",
-    [PGroupType(2, (1, 1, 19)), PGroupType(2, (1,) * 6), PGroupType(3, (1, 1, 12))],
+    [
+        # cells the Leibniz-minor engine refused: large entries, or n = 6
+        PGroupType(2, (1, 1, 19)),
+        PGroupType(2, (1,) * 6),
+        PGroupType(3, (1, 1, 12)),
+        # the largest E at each dtype: p^{2E} < 2^62 in int64, and with
+        # n = 1 p^{E+1} < 2^31 in int32
+        PGroupType(2, (1, 30)),
+        PGroupType(2, (29,)),
+    ],
     ids=str,
 )
 def test_fix_exponents_matches_fixed_point_count(g):
-    # cells the Leibniz-minor engine refused: large entries, or n = 6
     assert _sweep.batchable(g)
     total = endomorphism_count(g)
     idx = np.unique(np.linspace(0, total - 1, 97).astype(np.int64))
     idx = np.concatenate([idx, np.random.default_rng(7).integers(0, total, 60)])
-    mats = _sweep._decode(idx, *canonical_parameters(g), g.n)
+    mats = _sweep._decode(idx, *canonical_parameters(g), g.n).astype(_sweep._stack_dtype(g))
     for k in range(1, g.p):
         batched = _sweep._fix_exponents(mats, g, k)
         for mat, exp in zip(mats, batched):
