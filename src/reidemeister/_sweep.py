@@ -62,9 +62,10 @@ TRIPLE_SAMPLES = 24  # per-object re-checks per triple_check
 def _product_bound(g: PGroupType) -> int:
     """Bound on |x| for every intermediate of the stages on a stack: the
     products of the elimination stay below p^{2E}.  With n = 1 there is
-    no elimination and the largest product is the unit scaling k*M < p^{E+1}."""
+    no elimination and the largest product is the unit scaling k*M < p^{E+1}.
+    The packed pivot keys of ``_fix_exponents`` stay below (p^E + 1) n^2."""
     largest = g.p ** max(g.e, default=0)
-    return largest * (largest if g.n > 1 else g.p)
+    return max(largest * (largest if g.n > 1 else g.p), (largest + 1) * g.n**2)
 
 
 def batchable(g: PGroupType) -> bool:
@@ -152,21 +153,30 @@ class TripleReport:
 
 
 @lru_cache(maxsize=None)
-def _perm_data(n: int) -> tuple[np.ndarray, np.ndarray]:
-    perms = list(permutations(range(n)))
+def _perm_data(n: int) -> list[tuple[tuple[int, ...], int]]:
     # the sign of a permutation is -1 to the number of its inversions
-    signs = [(-1) ** sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n)) for s in perms]
-    return np.array(perms, dtype=np.int64), np.array(signs, dtype=np.int64)
+    return [
+        (s, (-1) ** sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n)))
+        for s in permutations(range(n))
+    ]
 
 
 def _batch_det(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a (B, n, n) integer stack, in int64 (caller
-    bounds entries)."""
-    n = mats.shape[1]
-    perms, signs = _perm_data(n)
-    rows = np.arange(n, dtype=np.int64)[None, :]
-    gathered = mats[:, rows, perms]  # (B, n!, n)
-    return (gathered.prod(axis=2, dtype=np.int64) * signs).sum(axis=1)
+    """Exact determinants of a batch-last (n, n, B) integer stack, in
+    int64 (caller bounds entries).  Each Leibniz term is n - 1 in-place
+    products of the contiguous length-B rows mats[i, s(i)], accumulated
+    in int64."""
+    if mats.ndim != 3 or mats.shape[0] != mats.shape[1]:
+        raise InvariantViolation(f"_batch_det takes an (n, n, B) stack, not {mats.shape}")
+    n = mats.shape[0]
+    det = np.zeros(mats.shape[2], dtype=np.int64)
+    term = np.empty_like(det)
+    for perm, sign in _perm_data(n):
+        np.multiply(mats[0, perm[0]], sign, out=term, dtype=np.int64)
+        for i in range(1, n):
+            term *= mats[i, perm[i]]
+        det += term
+    return det
 
 
 def _invertible_mod_p(mats: np.ndarray, exps, p: int) -> np.ndarray:
@@ -175,7 +185,8 @@ def _invertible_mod_p(mats: np.ndarray, exps, p: int) -> np.ndarray:
     ok = np.ones(mats.shape[0], dtype=bool)
     for v in np.unique(exps):
         idx = np.flatnonzero(exps == v)
-        block = mats[:, idx[:, None], idx]  # a copy, reduced in place
+        # a batch-last (m, m, B) copy, reduced in place
+        block = mats.transpose(1, 2, 0)[idx[:, None], idx]
         _reduce(block, p, out=block)
         ok &= _reduce(_batch_det(block), p) != 0
     return ok
@@ -197,54 +208,68 @@ def _decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
 
 
 def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
-    """Exponent of |Fix(mul_k . phi)| for a stack of matrices, with one
-    multiplier k for the stack or an array of one per row.  |Fix| is the
-    index of the column lattice of [kM - I | diag(p^{e_i})]; scaling row i
-    by p^{E - e_i}, E = e_n, makes it [N | p^E I], so the exponent is the
-    sum of the Smith valuations of N over Z/p^E minus sum(E - e_i).  They
-    come from a batched valuation-pivot elimination (Storjohann and
+    """Exponent of |Fix(mul_k . phi)| for a (B, n, n) stack of matrices,
+    with one multiplier k for the stack or an array of one per row.  |Fix|
+    is the index of the column lattice of [kM - I | diag(p^{e_i})]; scaling
+    row i by p^{E - e_i}, E = e_n, makes it [N | p^E I], so the exponent is
+    the sum of the Smith valuations of N over Z/p^E minus sum(E - e_i).
+    They come from a batched valuation-pivot elimination (Storjohann and
     Mulders, ESA 1998): clear the column of an entry of least valuation
     with the inverse-free u*row_i - (a_ic / p^v)*row_r, u the pivot's unit
     part, and drop the pivot row and column.  The pivot key of an entry a
-    is gcd(a, p^E); at p = 2 that is the lowest set bit of a | 2^E."""
+    is gcd(a, p^E); at p = 2 that is the lowest set bit of a | 2^E.
+
+    The elimination works on a batch-last (n, n, B) copy, so every
+    reduction, gather and update runs along contiguous rows of B entries.
+    The pivot is the least packed key key * n^2 + position over the (n^2,
+    B) view: the first entry of least key in row-major order, the choice
+    of an argmin over each matrix."""
     n, p = g.n, g.p
     top_exp = max(g.e, default=0)
     top = p**top_exp
     scale = top // np.array(g.moduli, dtype=mats.dtype)
+    batch, size = mats.shape[0], n * n
     # reducing row i mod p^{e_i} and then scaling it by p^{E - e_i} is
     # the same as scaling first and reducing mod p^E
-    multiplier = np.asarray(multiplier, dtype=mats.dtype)
-    work = mats * np.multiply.outer(multiplier, scale)[..., None]
-    work -= np.diag(scale)
+    multiplier = np.atleast_1d(np.asarray(multiplier, dtype=mats.dtype))
+    work = np.empty((n, n, batch), dtype=mats.dtype)
+    np.multiply(mats.transpose(1, 2, 0), np.multiply.outer(scale, multiplier)[:, None], out=work)
+    work -= np.diag(scale)[:, :, None]
     _reduce(work, top, out=work)
-    batch = mats.shape[0]
-    rows = np.arange(batch)
+    flat, entries = work.reshape(size, batch), work.reshape(-1)
+    positions = np.arange(size, dtype=mats.dtype)[:, None]
+    # entry (i, j) of matrix b is entries[(i * n + j) * B + b]
+    lanes = np.arange(batch)
+    across = np.arange(n)[:, None] * batch  # j * B: along a row
+    down = across * n  # i * n * B: down a column
     # gcd(a, p^E) = p^{min(v(a), E)}; used rows and columns are zero, so
     # they hold p^E and are never chosen while a live entry is smaller
-    pivots = np.empty((batch, n), dtype=mats.dtype)
+    pivots = np.empty((n, batch), dtype=mats.dtype)
     for step in range(n):
-        flat = work.reshape(batch, n * n)
         if p == 2:
             keys = flat | top
             keys &= -keys
         else:
             keys = np.gcd(flat, top)
-        at = keys.argmin(axis=1)
-        pivot = keys[rows, at]
-        pivots[:, step] = pivot
+        keys *= size
+        keys += positions
+        pivot, at = np.divmod(keys.min(axis=0), size)
+        pivots[step] = pivot
         if step == n - 1:
             break
-        r, c = np.divmod(at, n)
-        unit = flat[rows, at] // pivot
-        factors = work[rows, :, c] // pivot[:, None]
-        pivot_row = work[rows, r, :]
+        at = lanes + at.astype(lanes.dtype) * batch  # (r * n + c) * B + b
+        col = at % (n * batch)  # c * B + b
+        unit = entries.take(at) // pivot
+        factors = entries.take(down + col) // pivot
+        pivot_row = entries.take(across + (at - col + lanes))
         # clears column c everywhere, the pivot row included
-        work *= unit[:, None, None]
-        work -= factors[:, :, None] * pivot_row[:, None, :]
+        work *= unit
+        work -= factors[:, None] * pivot_row
         _reduce(work, top, out=work)
-    powers = p ** np.arange(top_exp + 1, dtype=mats.dtype)
-    shift = sum(top_exp - v for v in g.e)
-    return np.searchsorted(powers, pivots).sum(axis=1) - shift
+    exps = np.zeros(batch, dtype=np.int64)
+    for v in range(1, top_exp + 1):  # a pivot p^u counts once for each v <= u
+        exps += (pivots >= p**v).sum(axis=0)
+    return exps - sum(top_exp - v for v in g.e)
 
 
 def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:

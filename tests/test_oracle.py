@@ -262,8 +262,8 @@ def _gl_counts(p, m):
     # (|GL_m(F_p)|, g_m(0)): every m x m matrix mod p, counted when it is
     # invertible, and when both M and M - I are
     mats = np.array(list(product(range(p), repeat=m * m)), dtype=np.int64).reshape(-1, m, m)
-    unit = _sweep._batch_det(mats) % p != 0
-    free = _sweep._batch_det(mats - np.eye(m, dtype=np.int64)) % p != 0
+    unit = _sweep._batch_det(mats.transpose(1, 2, 0)) % p != 0
+    free = _sweep._batch_det((mats - np.eye(m, dtype=np.int64)).transpose(1, 2, 0)) % p != 0
     return int(unit.sum()), int((unit & free).sum())
 
 
@@ -559,7 +559,7 @@ def test_live_multipliers_need_at_most_n_eliminations_per_automorphism(monkeypat
 
 def _full_det_invertible(mats, exps, p):
     # reference: the n x n determinant mod p, ignoring the block structure
-    return _sweep._batch_det(mats % p) % p != 0
+    return _sweep._batch_det((mats % p).transpose(1, 2, 0)) % p != 0
 
 
 @pytest.mark.parametrize(
@@ -621,6 +621,12 @@ def test_batchable_guard():
     assert not _sweep.batchable(PGroupType(7, (22,)))
 
 
+def test_product_bound_covers_the_packed_pivot_keys():
+    # key * n^2 + position with key <= p^E; at E = 1 and n = 5 that
+    # exceeds the elimination's p^{2E}
+    assert _sweep._product_bound(PGroupType(2, (1,) * 5)) == 3 * 25
+
+
 def test_unbatchable_cell_is_over_budget():
     huge = EnumBudget(max_endos=2**70, max_group_order=2**70)
     for g in [PGroupType(2, (1, 31)), PGroupType(2, (9,) * 5)]:
@@ -641,6 +647,14 @@ def test_unbatchable_cell_is_over_budget():
         # n = 1 p^{E+1} < 2^31 in int32
         PGroupType(2, (1, 30)),
         PGroupType(2, (29,)),
+        # the largest int32 E at n = 2, where the packed pivot keys
+        # key * n^2 + position are largest
+        PGroupType(2, (1, 15)),
+        PGroupType(3, (1, 9)),
+        # odd p, k = 1 .. 4 through the gcd key
+        PGroupType(5, (1, 1, 2)),
+        # n = 5: 25 packed positions
+        PGroupType(2, (1, 1, 1, 1, 1)),
     ],
     ids=str,
 )
@@ -702,9 +716,17 @@ def test_block_determinants_accumulate_in_int64():
     mats = np.random.default_rng(11).integers(0, g.p, (64, 3, 3)).astype(np.int32)
     mats[0] = g.p - 1
     mats[1] = np.eye(3, dtype=np.int32) * (g.p - 1)
-    assert _sweep._batch_det(mats[:2]).tolist() == [0, (g.p - 1) ** 3]
+    assert _sweep._batch_det(mats[:2].transpose(1, 2, 0)).tolist() == [0, (g.p - 1) ** 3]
     amask = _sweep._invertible_mod_p(mats, g.e, g.p)
     assert amask.tolist() == [is_automorphism(_sweep._to_endo(g, m)) for m in mats]
+
+
+def test_batch_det_refuses_a_batch_first_stack():
+    # a (B, n, n) stack read as batch-last would ask for B! Leibniz terms
+    with pytest.raises(InvariantViolation, match="n, n, B"):
+        _sweep._batch_det(np.zeros((5, 3, 3), dtype=np.int64))
+    with pytest.raises(InvariantViolation):
+        _sweep._batch_det(np.zeros((3, 3), dtype=np.int64))
 
 
 RAISED_BUDGET = EnumBudget(max_endos=2**25, max_group_order=2**14)
