@@ -4,7 +4,10 @@ A cell (p, e) has up to about 10^6 canonical endomorphisms, too many to
 build one EndoMatrix at a time.  Both walks decode parameter indices in
 numpy chunks that ``_chunks`` alone sizes (the trivial group is n = 0):
 ``triple_check`` walks every endomorphism (``_walk``) and counts its
-fixed points three ways, ``sweep_cell`` only the automorphisms.
+fixed points three ways, ``sweep_cell`` only the automorphisms.  The
+stages take the batch-last (n, n, B) stacks that ``_automorphisms``
+yields; ``triple_check`` and ``_recheck_samples`` keep (B, n, n) for the
+element kernel and per-object loop, and pass the stages transposed views.
 
 p | M_ij when e_i > e_j, so mod p a canonical matrix M is block upper
 triangular over the runs of equal exponents (Hillar and Rhea, Amer.
@@ -161,15 +164,19 @@ def _perm_data(n: int) -> list[tuple[tuple[int, ...], int]]:
     ]
 
 
+def _batch(mats: np.ndarray, n: int) -> int:
+    """B of an (n, n, B) stack.  Other shapes raise: a (B, n, n) one gives wrong results."""
+    if mats.ndim != 3 or mats.shape[:2] != (n, n):
+        raise InvariantViolation(f"the stages take an (n, n, B) stack, n = {n}, not {mats.shape}")
+    return mats.shape[2]
+
+
 def _batch_det(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a batch-last (n, n, B) integer stack, in
-    int64 (caller bounds entries).  Each Leibniz term is n - 1 in-place
-    products of the contiguous length-B rows mats[i, s(i)], accumulated
-    in int64."""
-    if mats.ndim != 3 or mats.shape[0] != mats.shape[1]:
-        raise InvariantViolation(f"_batch_det takes an (n, n, B) stack, not {mats.shape}")
-    n = mats.shape[0]
-    det = np.zeros(mats.shape[2], dtype=np.int64)
+    """Exact int64 determinants of an (n, n, B) integer stack (caller bounds
+    entries): each Leibniz term is n - 1 in-place int64 products of the
+    contiguous length-B rows mats[i, s(i)]."""
+    n = len(mats)
+    det = np.zeros(_batch(mats, n), dtype=np.int64)
     term = np.empty_like(det)
     for perm, sign in _perm_data(n):
         np.multiply(mats[0, perm[0]], sign, out=term, dtype=np.int64)
@@ -180,13 +187,12 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
 
 
 def _invertible_mod_p(mats: np.ndarray, exps, p: int) -> np.ndarray:
-    """Per matrix: invertible mod p, given p | M_ij when exps[i] > exps[j]."""
+    """Per matrix of an (n, n, B) stack: invertible mod p, given p | M_ij when exps[i] > exps[j]."""
     exps = np.asarray(exps)
-    ok = np.ones(mats.shape[0], dtype=bool)
+    ok = np.ones(_batch(mats, len(exps)), dtype=bool)
     for v in np.unique(exps):
         idx = np.flatnonzero(exps == v)
-        # a batch-last (m, m, B) copy, reduced in place
-        block = mats.transpose(1, 2, 0)[idx[:, None], idx]
+        block = mats[idx[:, None], idx]  # an (m, m, B) copy, reduced in place
         _reduce(block, p, out=block)
         ok &= _reduce(_batch_det(block), p) != 0
     return ok
@@ -208,8 +214,8 @@ def _decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
 
 
 def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
-    """Exponent of |Fix(mul_k . phi)| for a (B, n, n) stack of matrices,
-    with one multiplier k for the stack or an array of one per row.  |Fix|
+    """Exponent of |Fix(mul_k . phi)| for an (n, n, B) stack of matrices,
+    with one multiplier k for the stack or an array of one per matrix.  |Fix|
     is the index of the column lattice of [kM - I | diag(p^{e_i})]; scaling
     row i by p^{E - e_i}, E = e_n, makes it [N | p^E I], so the exponent is
     the sum of the Smith valuations of N over Z/p^E minus sum(E - e_i).
@@ -219,7 +225,7 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     part, and drop the pivot row and column.  The pivot key of an entry a
     is gcd(a, p^E); at p = 2 that is the lowest set bit of a | 2^E.
 
-    The elimination works on a batch-last (n, n, B) copy, so every
+    The elimination works on a C-contiguous (n, n, B) copy, so every
     reduction, gather and update runs along contiguous rows of B entries.
     The pivot is the least packed key key * n^2 + position over the (n^2,
     B) view: the first entry of least key in row-major order, the choice
@@ -228,12 +234,12 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     top_exp = max(g.e, default=0)
     top = p**top_exp
     scale = top // np.array(g.moduli, dtype=mats.dtype)
-    batch, size = mats.shape[0], n * n
+    batch, size = _batch(mats, n), n * n
     # reducing row i mod p^{e_i} and then scaling it by p^{E - e_i} is
     # the same as scaling first and reducing mod p^E
     multiplier = np.atleast_1d(np.asarray(multiplier, dtype=mats.dtype))
     work = np.empty((n, n, batch), dtype=mats.dtype)
-    np.multiply(mats.transpose(1, 2, 0), np.multiply.outer(scale, multiplier)[:, None], out=work)
+    np.multiply(mats, np.multiply.outer(scale, multiplier)[:, None], out=work)
     work -= np.diag(scale)[:, :, None]
     _reduce(work, top, out=work)
     flat, entries = work.reshape(size, batch), work.reshape(-1)
@@ -273,31 +279,32 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
 
 
 def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
-    """Per matrix: conjugate by diag(p^{d_i}), then check that the result
-    is a valid invertible matrix on the subgroup type e - d and that every
-    b/c-block start column is zero mod p off the diagonal and a unit on it."""
+    """Per matrix of an (n, n, B) stack: conjugate by diag(p^{d_i}), then
+    check that the result is a valid invertible matrix on the subgroup type
+    e - d and that every b/c-block start column c[:, j] is zero mod p off
+    the diagonal and a unit on it, along contiguous rows of B entries."""
     n, p = g.n, g.p
+    ok = np.ones(_batch(mats, n), dtype=bool)
     dec = abc_decompose(g)
     p_d = np.array([p**int(v) for v in dec.d], dtype=mats.dtype)
     sub_e = np.array(g.e, dtype=np.int64) - np.array(dec.d, dtype=np.int64)
-    conjugated = mats * p_d[None, None, :]
+    c = mats * p_d[None, :, None]
     for i, d in enumerate(dec.d):
         if d:  # by a Python-int scalar: see _reduce
-            conjugated[:, i, :] //= p**d
+            c[i] //= p**d
 
-    ok = np.ones(mats.shape[0], dtype=bool)
     for i in range(n):
         for j in range(i):
             gap = int(sub_e[i] - sub_e[j])
             if gap > 0:
-                ok &= _reduce(conjugated[:, i, j], p**gap) == 0
+                ok &= _reduce(c[i, j], p**gap) == 0
     # d(e) is characteristic, so sub_e is nondecreasing and the loop above gives p | M_ij
-    ok &= _invertible_mod_p(conjugated, sub_e, p)
+    ok &= _invertible_mod_p(c, sub_e, p)
     for j in [blk.start for blk in dec.blocks if blk.kind != "a"]:  # b/c-block starts
-        col = _reduce(conjugated[:, :, j], p)
-        diag_entry = col[:, j].copy()
-        col[:, j] = 0
-        ok &= (diag_entry != 0) & ~col.any(axis=1)
+        col = _reduce(c[:, j], p)
+        ok &= col[j] != 0
+        col[j] = 0
+        ok &= ~col.any(axis=0)
     return ok
 
 
@@ -371,30 +378,30 @@ def _inverse_mod_p(units: np.ndarray, p: int) -> np.ndarray:
 
 
 def _live(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray | None, np.ndarray]:
-    """The live (row, k) pairs of a stack of automorphisms or of their
-    residue patterns, as arrays (rows, ks) sorted by row then k: k*M - I is
-    not invertible mod p, see the module docstring.  rows is None when each
-    row has one live k, ks[i] that of row i.  A 1x1 block r makes only
-    r^{-1} live; blocks of size >= 2 are tested for every k."""
-    p, every = g.p, np.arange(len(mats))
+    """The live (row, k) pairs of an (n, n, B) stack of automorphisms or of
+    their residue patterns, row b being matrix [:, :, b], as arrays (rows,
+    ks) sorted by row then k: k*M - I is not invertible mod p, see the
+    module docstring.  rows is None when each row has one live k, ks[i]
+    that of row i.  A 1x1 block r makes only r^{-1} live, larger ones test every k."""
+    p, every = g.p, np.arange(_batch(mats, g.n))
     singles = [i for i, v in enumerate(g.e) if g.e.count(v) == 1]
-    inverses = [_inverse_mod_p(_reduce(mats[:, i, i], p), p) for i in singles]
+    inverses = [_inverse_mod_p(_reduce(mats[i, i], p), p) for i in singles]
     if g.n == 1:  # one 1x1 block: r^{-1} is the one live k of each row
         return None, inverses[0]
     codes = [every * p + ks for ks in inverses]
     if len(singles) < g.n:
-        eye = np.eye(g.n, dtype=mats.dtype)
+        eye = np.eye(g.n, dtype=mats.dtype)[:, :, None]
         codes += [every[~_invertible_mod_p(k * mats - eye, g.e, p)] * p + k for k in range(1, p)]
     rows, ks = np.divmod(np.unique(np.concatenate(codes or [every[:0]])), p)
     return (None if np.array_equal(rows, every) else rows), ks
 
 
 def _automorphisms(g: PGroupType, cap: int) -> Iterator[tuple[np.ndarray, tuple]]:
-    """Every automorphism of g once, in (B, n, n) chunks of at most ``cap``
-    rows at ``_stack_dtype``: each residue pattern of the diagonal blocks
-    that ``_invertible_mod_p`` accepts, plus every value of the free
-    digits; see the module docstring.  Yields (rows, live), live the
-    ``_live`` pairs of the chunk's patterns spread over its rows."""
+    """Every automorphism of g once, in C-contiguous (n, n, B) chunks of at
+    most ``cap`` matrices at ``_stack_dtype``: each residue pattern of the
+    diagonal blocks that ``_invertible_mod_p`` accepts, plus every value of
+    the free digits; see the module docstring.  Yields (rows, live), live
+    the ``_live`` pairs of the chunk's patterns spread over its rows."""
     n = g.n
     strides, counts = canonical_parameters(g)
     # a diagonal-block entry (e_i = e_j) has stride 1: its residue mod p
@@ -405,18 +412,21 @@ def _automorphisms(g: PGroupType, cap: int) -> Iterator[tuple[np.ndarray, tuple]
     free_strides = [s * r for s, r in zip(strides, radix)]
     free_inner, frees = _chunks(g, free_strides, free_counts, math.prod(free_counts), cap)
     per = cap // len(free_inner)  # kept patterns per chunk
+    # batch-last like the stages: one C-order copy of each table per cell
+    pattern_inner, free_inner = (t.transpose(1, 2, 0).copy() for t in (pattern_inner, free_inner))
     for _, length, shift in patterns:
-        block = pattern_inner[:length] + shift
-        kept = block[_invertible_mod_p(block, g.e, g.p)]
-        for first in range(0, len(kept), per):
-            group = kept[first : first + per]
+        block = pattern_inner[:, :, :length] + shift[:, :, None]
+        kept = np.compress(_invertible_mod_p(block, g.e, g.p), block, axis=2)
+        for first in range(0, kept.shape[2], per):
+            group = kept[:, :, first : first + per]
             live, ks = _live(group, g)
             for _, free_length, free_shift in frees:
-                rows = (group[:, None] + free_shift) + free_inner[:free_length]
+                rows = group[..., None] + free_shift[..., None, None]
+                rows = rows + free_inner[..., None, :free_length]
                 spread = live  # pattern i is rows i * free_length .. (i + 1) * free_length - 1
                 if live is not None:
                     spread = (live[:, None] * free_length + np.arange(free_length)).reshape(-1)
-                rows = rows.reshape(rows.shape[0] * rows.shape[1], n, n)
+                rows = rows.reshape(n, n, group.shape[2] * free_length)  # not -1: n may be 0
                 yield rows, (spread, np.repeat(ks, free_length))
 
 
@@ -428,8 +438,8 @@ def _exponents(autos: np.ndarray, live, g: PGroupType) -> tuple[np.ndarray, np.n
     if rows is None:  # one live pair per row, in row order
         exps = _fix_exponents(autos, g, ks)
         return np.where(ks == 1, exps, 0), exps
-    exps = _fix_exponents(autos[rows], g, ks)
-    r_exp, pi_exp = np.zeros((2, len(autos)), dtype=exps.dtype)
+    exps = _fix_exponents(autos.take(rows, axis=2), g, ks)
+    r_exp, pi_exp = np.zeros((2, autos.shape[2]), dtype=exps.dtype)
     r_exp[rows[ks == 1]] = exps[ks == 1]
     np.add.at(pi_exp, rows, exps)
     return r_exp, pi_exp
@@ -440,8 +450,8 @@ def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
     batched stages against the per-object APIs."""
     indices = _sample_indices(total, SWEEP_SAMPLES)
     mats = _decode(indices, *canonical_parameters(g), g.n).astype(_stack_dtype(g))
-    amask = _invertible_mod_p(mats, g.e, g.p)
-    autos = mats[amask]
+    amask = _invertible_mod_p(mats.transpose(1, 2, 0), g.e, g.p)
+    autos = mats[amask].transpose(1, 2, 0)  # views in the stages' layout
     r_exp, pi_exp = _exponents(autos, _live(autos, g), g)
     rows = zip(r_exp.tolist(), pi_exp.tolist(), _structure_ok(autos, g).tolist())
     dec = abc_decompose(g)
@@ -550,7 +560,7 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
             raise InvariantViolation("image size must divide the group order")
         twisted = order // image_sizes
 
-        lattice = p ** _fix_exponents(mats, g, 1)
+        lattice = p ** _fix_exponents(mats.transpose(1, 2, 0), g, 1)
 
         mismatches += int((brute != twisted).sum())
         mismatches += int((brute != lattice).sum())

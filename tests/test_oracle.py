@@ -330,6 +330,36 @@ def test_elementary_abelian_r_histogram_matches_its_closed_form(g):
     assert _sweep.sweep_cell(g, DEFAULT_BUDGET).r_histogram == expected
 
 
+@pytest.mark.parametrize(
+    "g, orbits",
+    [
+        (PGroupType(2, (1, 2)), 4),
+        (PGroupType(2, (1, 1, 2)), 4),
+        (PGroupType(2, (2, 2)), 3),
+        (PGroupType(2, (1, 1, 1)), 2),
+        (PGroupType(3, (1, 1)), 2),
+        (PGroupType(3, (1, 2)), 4),
+        (PGroupType(5, (1, 2)), 4),
+        (PGroupType(2, (1, 2, 3)), 8),
+    ],
+    ids=lambda v: str(v) if isinstance(v, PGroupType) else f"{v}-orbits",
+)
+def test_r_histogram_obeys_burnside(g, orbits):
+    # Burnside's lemma: the sum of |Fix(phi)| = R(phi) over Aut A is
+    # |Aut A| times the number of Aut A-orbits on A.  The orbits are
+    # counted by applying every automorphism to one element of each
+    autos = list(enumerate_automorphisms(g))
+    seen, found = set(), 0
+    for x in elements(g):
+        if x not in seen:
+            seen.update(apply(em, x) for em in autos)
+            found += 1
+    assert found == orbits
+    rep = _sweep.sweep_cell(g, DEFAULT_BUDGET)
+    total_r = sum(count * g.p**v for v, count in enumerate(rep.r_histogram))
+    assert total_r == len(autos) * orbits
+
+
 def test_triple_check_small_cells():
     for g in [PGroupType(2, (1, 1)), PGroupType(3, (1, 1)), PGroupType(2, (2, 2))]:
         rep = _sweep.triple_check(g, DEFAULT_BUDGET)
@@ -410,16 +440,16 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
     ]
     chunks = []
 
-    def counting(walk):
+    def counting(walk, axis):
         def counted(*args):
             for item in walk(*args):
-                chunks.append(len(item[0]))  # both walks yield (rows, ...)
+                chunks.append(item[0].shape[axis])  # (B, n, n) or (n, n, B) rows
                 yield item
 
         return counted
 
-    monkeypatch.setattr(_sweep, "_walk", counting(_sweep._walk))
-    monkeypatch.setattr(_sweep, "_automorphisms", counting(_sweep._automorphisms))
+    monkeypatch.setattr(_sweep, "_walk", counting(_sweep._walk, 0))
+    monkeypatch.setattr(_sweep, "_automorphisms", counting(_sweep._automorphisms, 2))
     for g, sweep_chunks, triple_chunks in cases:
         total = endomorphism_count(g)
         chunks.clear()
@@ -460,8 +490,10 @@ def test_automorphism_walk_is_the_filtered_endomorphisms(g, cap):
     total = endomorphism_count(g)
     expected = Counter()
     for mats, _ in _sweep._walk(g, total, 1, 8192):
-        expected += _multiset(mats[_sweep._invertible_mod_p(mats, g.e, g.p)])
-    chunks = [rows for rows, _ in _sweep._automorphisms(g, cap)]
+        expected += _multiset(mats[_sweep._invertible_mod_p(mats.transpose(1, 2, 0), g.e, g.p)])
+    stacks = [rows for rows, _ in _sweep._automorphisms(g, cap)]
+    assert all(r.flags.c_contiguous and r.shape[:2] == (g.n, g.n) for r in stacks)
+    chunks = [r.transpose(2, 0, 1) for r in stacks]
     assert len(chunks) > 1 or g.n == 0
     assert all(0 < len(mats) <= cap and mats.dtype == np.int32 for mats in chunks)
     walked = np.concatenate(chunks)
@@ -476,7 +508,7 @@ def test_automorphism_walk_batches_primes_past_the_cap():
     # triple_check's cap for this cell, 2^19 // 8209 = 63, _walk cuts the
     # one 8209-index cycle into 130 chunks of 63 rows and the 19 left
     g = PGroupType(8209, (1,))
-    lengths = [len(mats) for mats, _ in _sweep._automorphisms(g, 8192)]
+    lengths = [rows.shape[2] for rows, _ in _sweep._automorphisms(g, 8192)]
     assert lengths == [8191, 17]
     lengths = [len(mats) for mats, _ in _sweep._walk(g, g.p, 1, 63)]
     assert lengths == [63] * 130 + [19]
@@ -499,7 +531,7 @@ def _live_pairs(rows, live):
     # the (row, k) pairs of a walk chunk's live set
     live_rows, ks = live
     if live_rows is None:
-        live_rows = np.arange(len(rows))
+        live_rows = np.arange(rows.shape[2])
     return set(zip(live_rows.tolist(), ks.tolist()))
 
 
@@ -525,11 +557,11 @@ def test_live_multipliers_are_the_nonzero_exponents(g, cap):
         exps = {k: _sweep._fix_exponents(rows, g, k) for k in range(1, g.p)}
         nonzero = {(i, k) for k, e in exps.items() for i in np.flatnonzero(e).tolist()}
         assert _live_pairs(rows, live) == nonzero
-        assert len(live[1]) <= g.n * len(rows)
+        assert len(live[1]) <= g.n * rows.shape[2]
         r_exp, pi_exp = _sweep._exponents(rows, live, g)
         assert np.array_equal(r_exp, exps[1])
         assert np.array_equal(pi_exp, sum(exps.values()))
-        walked += len(rows)
+        walked += rows.shape[2]
     assert walked == _hillar_rhea_aut_count(g)
 
 
@@ -541,7 +573,7 @@ def test_live_multipliers_need_at_most_n_eliminations_per_automorphism(monkeypat
     fix = _sweep._fix_exponents
 
     def counted(mats, *args):
-        passed.append(len(mats))
+        passed.append(mats.shape[2])
         return fix(mats, *args)
 
     monkeypatch.setattr(_sweep, "_fix_exponents", counted)
@@ -550,7 +582,7 @@ def test_live_multipliers_need_at_most_n_eliminations_per_automorphism(monkeypat
     for rows, live in _sweep._automorphisms(g, 8192):
         r_exp, _ = _sweep._exponents(rows, live, g)
         r_hist += np.bincount(r_exp, minlength=r_hist.size)
-        walked += len(rows)
+        walked += rows.shape[2]
     assert walked == _hillar_rhea_aut_count(g)
     assert sum(passed) <= g.n * walked
     # |Fix(phi)| for phi = x -> r x on Z/p^2 is gcd(r - 1, p^2)
@@ -558,8 +590,9 @@ def test_live_multipliers_need_at_most_n_eliminations_per_automorphism(monkeypat
 
 
 def _full_det_invertible(mats, exps, p):
-    # reference: the n x n determinant mod p, ignoring the block structure
-    return _sweep._batch_det((mats % p).transpose(1, 2, 0)) % p != 0
+    # reference: the n x n determinant mod p of an (n, n, B) stack,
+    # ignoring the block structure
+    return _sweep._batch_det(mats % p) % p != 0
 
 
 @pytest.mark.parametrize(
@@ -581,15 +614,16 @@ def test_run_block_invertibility_matches_full_determinant(g, monkeypatch):
     total = endomorphism_count(g)
     blocks, full, structure, structure_full = [], [], [], []
     for mats, positions in _sweep._walk(g, total, 2**14, 8192):
-        amask = _sweep._invertible_mod_p(mats, g.e, g.p)
+        stack = mats.transpose(1, 2, 0)
+        amask = _sweep._invertible_mod_p(stack, g.e, g.p)
         blocks.append(amask)
-        full.append(_full_det_invertible(mats, g.e, g.p))
+        full.append(_full_det_invertible(stack, g.e, g.p))
         for pos in positions:
             assert bool(amask[pos]) == is_automorphism(_sweep._to_endo(g, mats[pos]))
-        structure.append(_sweep._structure_ok(mats, g))
+        structure.append(_sweep._structure_ok(stack, g))
         with monkeypatch.context() as m:
             m.setattr(_sweep, "_invertible_mod_p", _full_det_invertible)
-            structure_full.append(_sweep._structure_ok(mats, g))
+            structure_full.append(_sweep._structure_ok(stack, g))
     assert np.array_equal(np.concatenate(blocks), np.concatenate(full))
     structure = np.concatenate(structure)
     assert np.array_equal(structure, np.concatenate(structure_full))
@@ -665,7 +699,7 @@ def test_fix_exponents_matches_fixed_point_count(g):
     idx = np.concatenate([idx, np.random.default_rng(7).integers(0, total, 60)])
     mats = _sweep._decode(idx, *canonical_parameters(g), g.n).astype(_sweep._stack_dtype(g))
     for k in range(1, g.p):
-        batched = _sweep._fix_exponents(mats, g, k)
+        batched = _sweep._fix_exponents(mats.transpose(1, 2, 0), g, k)
         for mat, exp in zip(mats, batched):
             em = scale(_sweep._to_endo(g, mat), k)
             assert fixed_point_count(em).nu(g.p) == exp
@@ -683,6 +717,12 @@ def _dtype_id(value):
         (PGroupType(2, (1, 16)), np.int64),
         (PGroupType(3, (1, 9)), np.int32),
         (PGroupType(3, (1, 10)), np.int64),
+        # every block kind under the structure check: b and c blocks with
+        # d = (0, 0, 1), a and c blocks with d = (0, 0, 1), c and b blocks
+        # with d = (0, 1, 1)
+        (PGroupType(2, (1, 2, 3)), np.int32),
+        (PGroupType(3, (1, 1, 2)), np.int32),
+        (PGroupType(2, (1, 3, 4)), np.int32),
     ],
     ids=_dtype_id,
 )
@@ -697,14 +737,15 @@ def test_stages_are_exact_on_both_sides_of_the_int32_rule(g, dtype):
     mats = np.concatenate(rows)
     assert len(mats) == 160
     ems = [_sweep._to_endo(g, mat) for mat in mats]
-    amask = _sweep._invertible_mod_p(mats, g.e, g.p)
+    stack = mats.transpose(1, 2, 0)
+    amask = _sweep._invertible_mod_p(stack, g.e, g.p)
     assert amask.tolist() == [is_automorphism(em) for em in ems]
     assert amask.any() and not amask.all()
     for k in range(1, g.p):
-        exps = _sweep._fix_exponents(mats, g, k)
+        exps = _sweep._fix_exponents(stack, g, k)
         assert exps.tolist() == [fixed_point_count(scale(em, k)).nu(g.p) for em in ems]
     dec = abc_decompose(g)
-    structure = _sweep._structure_ok(mats, g)
+    structure = _sweep._structure_ok(stack, g)
     assert structure.tolist() == [_sweep._reference_structure_ok(em, dec) for em in ems]
     assert structure.any() and not structure.all()
 
@@ -717,7 +758,7 @@ def test_block_determinants_accumulate_in_int64():
     mats[0] = g.p - 1
     mats[1] = np.eye(3, dtype=np.int32) * (g.p - 1)
     assert _sweep._batch_det(mats[:2].transpose(1, 2, 0)).tolist() == [0, (g.p - 1) ** 3]
-    amask = _sweep._invertible_mod_p(mats, g.e, g.p)
+    amask = _sweep._invertible_mod_p(mats.transpose(1, 2, 0), g.e, g.p)
     assert amask.tolist() == [is_automorphism(_sweep._to_endo(g, m)) for m in mats]
 
 
@@ -727,6 +768,24 @@ def test_batch_det_refuses_a_batch_first_stack():
         _sweep._batch_det(np.zeros((5, 3, 3), dtype=np.int64))
     with pytest.raises(InvariantViolation):
         _sweep._batch_det(np.zeros((3, 3), dtype=np.int64))
+
+
+def test_stages_refuse_a_batch_first_stack():
+    # read as batch-last, one 3 x 3 matrix in the (B, n, n) layout would be
+    # three 1 x 3 matrices: a wrong answer, not an error, without the guard
+    g = PGroupType(2, (1, 2, 3))
+    stages = [
+        lambda mats: _sweep._fix_exponents(mats, g, 1),
+        lambda mats: _sweep._structure_ok(mats, g),
+        lambda mats: _sweep._live(mats, g),
+        lambda mats: _sweep._invertible_mod_p(mats, g.e, g.p),
+    ]
+    identity = np.eye(3, dtype=np.int32)[None]
+    for stage in stages:
+        with pytest.raises(InvariantViolation, match="n, n, B"):
+            stage(identity)
+        stage(identity.transpose(1, 2, 0))
+    assert _sweep._fix_exponents(identity.transpose(1, 2, 0), g, 1).tolist() == [6]
 
 
 RAISED_BUDGET = EnumBudget(max_endos=2**25, max_group_order=2**14)
