@@ -65,8 +65,6 @@ from .oracle import (
     EnumBudget,
     brute_fixed_points,
     endomorphism_count,
-    enumerate_automorphisms,
-    enumerate_endomorphisms,
     iter_partitions,
     iter_types,
     oracle_spectrum,

@@ -26,10 +26,12 @@ Hillar-Rhea count.
 All arithmetic stays exact: ``_product_bound`` bounds every intermediate
 of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
 every reduction is ``_reduce`` or, in the p = 2 element kernel, a mask,
-and cells past the int64 bounds of ``batchable`` raise BudgetExceeded
-like cells over the enumeration budget.  A deterministic sample of every
-cell, automorphisms or not, is re-checked through the plain per-object
-APIs, so the batched results stay anchored to the reference implementations.
+the elimination keys pivots by valuation and divides only exactly (by
+shifts, or by inverses mod 2^w), and cells past the int64 bounds of
+``batchable`` raise BudgetExceeded like cells over the enumeration
+budget.  A deterministic sample of every cell, automorphisms or not, is
+re-checked through the plain per-object APIs, so the batched results
+stay anchored to the reference implementations.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ def _product_bound(g: PGroupType) -> int:
     """Bound on |x| for every intermediate of the stages on a stack: the
     products of the elimination stay below p^{2E}.  With n = 1 there is
     no elimination and the largest product is the unit scaling k*M < p^{E+1}.
-    The packed pivot keys of ``_fix_exponents`` stay below (p^E + 1) n^2."""
+    The packed pivot keys key * n^2 + position of ``_fix_exponents`` stay
+    below (p^E + 1) n^2: a key is 2^u <= 2^E at p = 2, the valuation u <= E
+    at odd p, whose exact divisions wrap mod 2^w into quotients below p^E."""
     largest = g.p ** max(g.e, default=0)
     return max(largest * (largest if g.n > 1 else g.p), (largest + 1) * g.n**2)
 
@@ -213,6 +217,34 @@ def _decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
     return (params * strides[None, :]).reshape(len(indices), n, n)
 
 
+@lru_cache(maxsize=None)
+def _inverse_powers(p: int, cap: int, words: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(p^j)^{-1} mod 2^w and (2^w - 1) // p^j for j <= cap, odd p, as w-bit
+    unsigned ``words``: a word a is divisible by p^j exactly when a (p^j)^{-1}
+    mod 2^w <= (2^w - 1) // p^j, and then that product is a / p^j (Granlund
+    and Montgomery, PLDI 1994)."""
+    modulus = 1 << (8 * words.itemsize)
+    inverses = [pow(p, -j, modulus) for j in range(cap + 1)]
+    limits = [(modulus - 1) // p**j for j in range(cap + 1)]
+    return np.array(inverses, dtype=words), np.array(limits, dtype=words)
+
+
+def _valuations(a: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """min(v_p(a), cap) as uint8 (cap < 256), cap on 0, per entry of a C-contiguous
+    non-negative int32 or int64 array at odd p: the count of j <= cap with p^j | a,
+    by ``_inverse_powers`` on the entries' bits as unsigned words."""
+    words = np.dtype(f"u{a.itemsize}")
+    inverses, limits = _inverse_powers(p, cap, words)
+    quotients = a.view(words).copy()
+    divisible = np.empty(a.shape, dtype=bool)
+    count = np.zeros(a.shape, dtype=np.uint8)
+    for j in range(1, cap + 1):
+        quotients *= inverses[1]  # a * (p^j)^{-1} mod 2^w
+        np.less_equal(quotients, limits[j], out=divisible)
+        count += divisible.view(np.uint8)
+    return count
+
+
 def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     """Exponent of |Fix(mul_k . phi)| for an (n, n, B) stack of matrices,
     with one multiplier k for the stack or an array of one per matrix.  |Fix|
@@ -220,16 +252,22 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     row i by p^{E - e_i}, E = e_n, makes it [N | p^E I], so the exponent is
     the sum of the Smith valuations of N over Z/p^E minus sum(E - e_i).
     They come from a batched valuation-pivot elimination (Storjohann and
-    Mulders, ESA 1998): clear the column of an entry of least valuation
-    with the inverse-free u*row_i - (a_ic / p^v)*row_r, u the pivot's unit
-    part, and drop the pivot row and column.  The pivot key of an entry a
-    is gcd(a, p^E); at p = 2 that is the lowest set bit of a | 2^E.
+    Mulders, ESA 1998): clear the column of an entry a of least valuation
+    u with the inverse-free (a / p^u) row_i - (a_ic / p^u) row_r, and drop
+    the pivot row and column; the exponent sums the pivots' u.
+
+    The entries stay in [0, p^E).  The pivot key of an entry a is its
+    valuation u = min(v(a), E), E on a = 0: at p = 2 the lowest set bit
+    2^u of a | 2^E, at odd p ``_valuations``.  Every entry of the pivot
+    column is divisible by p^u, since used rows are zero and the pivot has
+    the least u of the active submatrix, so the divisions by p^u are exact:
+    shifts at p = 2, products with (p^u)^{-1} mod 2^w at odd p.
 
     The elimination works on a C-contiguous (n, n, B) copy, so every
     reduction, gather and update runs along contiguous rows of B entries.
     The pivot is the least packed key key * n^2 + position over the (n^2,
-    B) view: the first entry of least key in row-major order, the choice
-    of an argmin over each matrix."""
+    B) view: the first entry of least valuation in row-major order, the
+    choice of an argmin over each matrix."""
     n, p = g.n, g.p
     top_exp = max(g.e, default=0)
     top = p**top_exp
@@ -248,33 +286,38 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     lanes = np.arange(batch)
     across = np.arange(n)[:, None] * batch  # j * B: along a row
     down = across * n  # i * n * B: down a column
-    # gcd(a, p^E) = p^{min(v(a), E)}; used rows and columns are zero, so
-    # they hold p^E and are never chosen while a live entry is smaller
-    pivots = np.empty((n, batch), dtype=mats.dtype)
+    if p != 2:  # the entries' bits as unsigned words, whose products wrap mod 2^w
+        words = np.dtype(f"u{work.itemsize}")
+        inverses = _inverse_powers(p, top_exp, words)[0]
+    exps = np.zeros(batch, dtype=np.int64)
     for step in range(n):
         if p == 2:
             keys = flat | top
             keys &= -keys
+            keys *= size
         else:
-            keys = np.gcd(flat, top)
-        keys *= size
+            keys = np.multiply(_valuations(flat, p, top_exp), size, dtype=flat.dtype)
         keys += positions
-        pivot, at = np.divmod(keys.min(axis=0), size)
-        pivots[step] = pivot
+        # used rows and columns are zero, so they have u = E and are
+        # never chosen while a live entry has a smaller u
+        key, at = np.divmod(keys.min(axis=0), size)
+        u = np.frexp(key)[1] - 1 if p == 2 else key  # 2^u = 0.5 * 2^{u + 1}
+        exps += u
         if step == n - 1:
             break
         at = lanes + at.astype(lanes.dtype) * batch  # (r * n + c) * B + b
         col = at % (n * batch)  # c * B + b
-        unit = entries.take(at) // pivot
-        factors = entries.take(down + col) // pivot
+        if p == 2:
+            unit, factors = entries.take(at) >> u, entries.take(down + col) >> u
+        else:
+            unit, factors = (
+                (entries.view(words).take(i) * inverses[u]).view(work.dtype) for i in (at, down + col)
+            )
         pivot_row = entries.take(across + (at - col + lanes))
         # clears column c everywhere, the pivot row included
         work *= unit
         work -= factors[:, None] * pivot_row
         _reduce(work, top, out=work)
-    exps = np.zeros(batch, dtype=np.int64)
-    for v in range(1, top_exp + 1):  # a pivot p^u counts once for each v <= u
-        exps += (pivots >= p**v).sum(axis=0)
     return exps - sum(top_exp - v for v in g.e)
 
 

@@ -346,6 +346,7 @@ def cmd_atlas(args: argparse.Namespace) -> int:
 # -- wiring -----------------------------------------------------------------
 
 _GROUP_HELP = "cyclic orders '4,3' or 'p=2 e=2,3'"
+_PGROUP_HELP = "cyclic orders of one prime '4,8' or 'p=2 e=2,3'"
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
@@ -368,20 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("spectrum", cmd_spectrum, "spectrum of a finite abelian group", _GROUP_HELP)
     sp.add_argument("--witnesses", action="store_true", help="attach a witness per value")
 
-    command("pi-spectrum", cmd_pi_spectrum, "product-number spectrum of a p-group", _GROUP_HELP)
+    command("pi-spectrum", cmd_pi_spectrum, "product-number spectrum of a p-group", _PGROUP_HELP)
     command(
         "decompose", cmd_decompose, "a/b/c block decomposition of a type vector",
         "'e=1,2,3' or 'p=2 e=1,2,3'",
     )
 
-    wt = command("witness", cmd_witness, "automorphism with product number p^m", _GROUP_HELP)
+    wt = command("witness", cmd_witness, "automorphism with product number p^m", _PGROUP_HELP)
     wt.add_argument("-m", dest="m", type=int, required=True, help="target exponent")
 
     for name, fn, help in (
         ("reidemeister", cmd_reidemeister, "twisted class count of a matrix"),
         ("pi", cmd_pi, "product number of an automorphism matrix"),
     ):
-        command(name, fn, help, _GROUP_HELP).add_argument("--matrix", required=True)
+        command(name, fn, help, _PGROUP_HELP).add_argument("--matrix", required=True)
 
     vf = command("verify", cmd_verify, "closed forms vs exhaustive enumeration")
     vf.add_argument("-p", dest="primes", action="append", type=int, help="prime (repeatable)")

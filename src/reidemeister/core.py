@@ -192,18 +192,6 @@ class IntMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other[k, j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
     def map_entries(self, fn) -> IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(fn(v) for v in self.entries))
 

@@ -1,10 +1,10 @@
 """Brute-force ground truth for spectra and fixed-point counts.
 
-Endomorphisms are enumerated through their canonical parameterization:
-entry (i, j) ranges over p^{max(0, e_i - e_j)} * t with
-t in [0, p^{min(e_i, e_j)}), one representative per endomorphism, in
-lexicographic order of the row-major parameter vector: the last
-coordinate varies fastest, as in ``elements``.  Fixed points
+Endomorphisms have one canonical parameterization: entry (i, j) ranges
+over p^{max(0, e_i - e_j)} * t with t in [0, p^{min(e_i, e_j)}), one
+representative per endomorphism, in lexicographic order of the row-major
+parameter vector: the last coordinate varies fastest, as in
+``elements``.  The sweeps of ``_sweep`` walk it in that order.  Fixed points
 and twisted classes are counted at the element level, independently of
 the lattice-index shortcut they validate.
 
@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from operator import mul
 from typing import Iterator
 
-from .core import Factored, IntMatrix
-from .endo import (
-    EndoMatrix,
-    PGroupType,
-    elements,
-    is_automorphism,
-)
+from .core import Factored
+from .endo import EndoMatrix, PGroupType, elements
 from .errors import BudgetExceeded, InvariantViolation
 from .spectra import Spectrum
 
@@ -35,8 +29,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "canonical_parameters",
     "endomorphism_count",
-    "enumerate_endomorphisms",
-    "enumerate_automorphisms",
     "brute_fixed_points",
     "twisted_class_count",
     "oracle_spectrum",
@@ -93,28 +85,6 @@ def _check_endo_budget(g: PGroupType, budget: EnumBudget) -> int:
             f"{count} endomorphisms of {g} exceed the cap {budget.max_endos}"
         )
     return count
-
-
-def enumerate_endomorphisms(
-    g: PGroupType, budget: EnumBudget = DEFAULT_BUDGET
-) -> Iterator[EndoMatrix]:
-    """Yield one canonical matrix per endomorphism, lexicographically in
-    the row-major parameter vector (last coordinate varies fastest)."""
-    _check_endo_budget(g, budget)
-    n = g.n
-    strides, counts = canonical_parameters(g)
-    for params in product(*map(range, counts)):
-        entries = tuple(s * t for s, t in zip(strides, params))
-        yield EndoMatrix(g, IntMatrix(n, n, entries))
-
-
-def enumerate_automorphisms(
-    g: PGroupType, budget: EnumBudget = DEFAULT_BUDGET
-) -> Iterator[EndoMatrix]:
-    """The subsequence of enumerate_endomorphisms invertible mod p."""
-    for em in enumerate_endomorphisms(g, budget):
-        if is_automorphism(em):
-            yield em
 
 
 def _check_order_budget(g: PGroupType, budget: EnumBudget) -> int:

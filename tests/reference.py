@@ -1,0 +1,96 @@
+"""Reference implementations used only by the tests: the per-object
+enumeration of canonical endomorphisms, the integer matrix product, and
+the gcd-keyed Smith elimination that ``_sweep._fix_exponents`` replaced."""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Iterator
+
+import numpy as np
+
+from reidemeister import _sweep
+from reidemeister.core import IntMatrix
+from reidemeister.endo import EndoMatrix, PGroupType, is_automorphism
+from reidemeister.errors import DimensionMismatch
+from reidemeister.oracle import DEFAULT_BUDGET, EnumBudget, _check_endo_budget, canonical_parameters
+
+
+def enumerate_endomorphisms(
+    g: PGroupType, budget: EnumBudget = DEFAULT_BUDGET
+) -> Iterator[EndoMatrix]:
+    """Yield one canonical matrix per endomorphism, lexicographically in
+    the row-major parameter vector (last coordinate varies fastest)."""
+    _check_endo_budget(g, budget)
+    n = g.n
+    strides, counts = canonical_parameters(g)
+    for params in product(*map(range, counts)):
+        entries = tuple(s * t for s, t in zip(strides, params))
+        yield EndoMatrix(g, IntMatrix(n, n, entries))
+
+
+def enumerate_automorphisms(
+    g: PGroupType, budget: EnumBudget = DEFAULT_BUDGET
+) -> Iterator[EndoMatrix]:
+    """The subsequence of enumerate_endomorphisms invertible mod p."""
+    for em in enumerate_endomorphisms(g, budget):
+        if is_automorphism(em):
+            yield em
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The integer matrix product a b."""
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    out = []
+    for i in range(a.rows):
+        ri = a.row(i)
+        for j in range(b.cols):
+            out.append(sum(ri[k] * b[k, j] for k in range(a.cols)))
+    return IntMatrix(a.rows, b.cols, tuple(out))
+
+
+def gcd_fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
+    """``_sweep._fix_exponents`` with the pivot key gcd(a, p^E) = p^u of
+    each entry a, divisions of the pivot column by the pivot p^u, and the
+    exponent counted as the pivots p^u >= p^v over every v <= E."""
+    n, p = g.n, g.p
+    top_exp = max(g.e, default=0)
+    top = p**top_exp
+    scale = top // np.array(g.moduli, dtype=mats.dtype)
+    batch, size = _sweep._batch(mats, n), n * n
+    multiplier = np.atleast_1d(np.asarray(multiplier, dtype=mats.dtype))
+    work = np.empty((n, n, batch), dtype=mats.dtype)
+    np.multiply(mats, np.multiply.outer(scale, multiplier)[:, None], out=work)
+    work -= np.diag(scale)[:, :, None]
+    _sweep._reduce(work, top, out=work)
+    flat, entries = work.reshape(size, batch), work.reshape(-1)
+    positions = np.arange(size, dtype=mats.dtype)[:, None]
+    lanes = np.arange(batch)
+    across = np.arange(n)[:, None] * batch
+    down = across * n
+    pivots = np.empty((n, batch), dtype=mats.dtype)
+    for step in range(n):
+        if p == 2:
+            keys = flat | top
+            keys &= -keys
+        else:
+            keys = np.gcd(flat, top)
+        keys *= size
+        keys += positions
+        pivot, at = np.divmod(keys.min(axis=0), size)
+        pivots[step] = pivot
+        if step == n - 1:
+            break
+        at = lanes + at.astype(lanes.dtype) * batch
+        col = at % (n * batch)
+        unit = entries.take(at) // pivot
+        factors = entries.take(down + col) // pivot
+        pivot_row = entries.take(across + (at - col + lanes))
+        work *= unit
+        work -= factors[:, None] * pivot_row
+        _sweep._reduce(work, top, out=work)
+    exps = np.zeros(batch, dtype=np.int64)
+    for v in range(1, top_exp + 1):
+        exps += (pivots >= p**v).sum(axis=0)
+    return exps - sum(top_exp - v for v in g.e)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import timedelta
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from reidemeister import (
     EndoMatrix,
     Factored,
+    IntMatrix,
     PGroupType,
+    format_matrix,
     is_automorphism,
     parse_matrix,
     product_number,
@@ -30,6 +33,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_group_help_examples_run(capsys):
+    # every quoted example in a command's group help, run through that
+    # command with the other arguments it requires
+    subparsers = next(a for a in cli.build_parser()._actions if a.choices and "pi" in a.choices)
+    ran = set()
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest != "group":
+                continue
+            for example in re.findall(r"'([^']+)'", action.help):
+                argv = [name, *example.split()]
+                if name in ("witness", "reidemeister", "pi"):
+                    g = cli._parse_ptype(example.split())
+                    identity = format_matrix(IntMatrix.identity(g.n))
+                    argv += ["-m", str(g.total_exponent)] if name == "witness" else ["--matrix", identity]
+                code, _, err = run(capsys, *argv)
+                assert code == 0, (argv, err)
+                ran.add(name)
+    assert ran == {"spectrum", "pi-spectrum", "decompose", "witness", "reidemeister", "pi"}
 
 
 # -- spectrum ----------------------------------------------------------------

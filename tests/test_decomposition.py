@@ -14,13 +14,14 @@ from reidemeister import (
     block_notation,
     column_structure_check,
     d_sequence,
-    enumerate_automorphisms,
     is_automorphism,
     is_characteristic,
     is_valid_endo,
     parse_matrix,
     restrict,
 )
+
+from reference import enumerate_automorphisms
 
 nondecreasing = st.lists(st.integers(1, 9), min_size=0, max_size=10).map(
     lambda xs: tuple(sorted(xs))

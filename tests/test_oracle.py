@@ -18,8 +18,6 @@ from reidemeister import (
     brute_fixed_points,
     elements,
     endomorphism_count,
-    enumerate_automorphisms,
-    enumerate_endomorphisms,
     fixed_point_count,
     is_automorphism,
     is_valid_endo,
@@ -39,6 +37,8 @@ from reidemeister.decomposition import abc_decompose
 from reidemeister.oracle import DEFAULT_BUDGET, _hillar_rhea_aut_count, canonical_parameters
 from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
 from reidemeister import _sweep
+
+from reference import enumerate_automorphisms, enumerate_endomorphisms, gcd_fix_exponents
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -685,7 +685,7 @@ def test_unbatchable_cell_is_over_budget():
         # key * n^2 + position are largest
         PGroupType(2, (1, 15)),
         PGroupType(3, (1, 9)),
-        # odd p, k = 1 .. 4 through the gcd key
+        # odd p, k = 1 .. 4 through the valuation key
         PGroupType(5, (1, 1, 2)),
         # n = 5: 25 packed positions
         PGroupType(2, (1, 1, 1, 1, 1)),
@@ -707,6 +707,103 @@ def test_fix_exponents_matches_fixed_point_count(g):
 
 def _dtype_id(value):
     return value.__name__ if isinstance(value, type) else str(value)
+
+
+def _random_canonical(g, rng, batch, dtype):
+    # (n, n, B): entry (i, j) is stride * t, 0 <= t < count (canonical_parameters)
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
+    t = rng.integers(0, counts, (batch, g.n * g.n))
+    return (t * strides).reshape(batch, g.n, g.n).transpose(1, 2, 0).astype(dtype)
+
+
+def _edge_matrices(g, dtype):
+    # (n, n, B) stacks that stress the elimination at k = 1: the identity
+    # (kM - I = 0, every pivot p^E); I + E_00 (the active submatrix is 0
+    # after one pivot); the largest canonical entries; with equal
+    # exponents (p^E - 1)(J - I), whose kM - I has every entry p^E - 1
+    n, top = g.n, g.p ** max(g.e)
+    strides, counts = canonical_parameters(g)
+    eye = np.eye(n, dtype=np.int64)
+    bump = eye.copy()
+    bump[0, 0] = 2
+    largest = (np.array(strides) * (np.array(counts) - 1)).reshape(n, n)
+    mats = [eye, bump, largest]
+    if len(set(g.e)) == 1:
+        mats.append((top - 1) * (1 - eye))
+    return np.stack(mats, axis=2).astype(dtype)
+
+
+@pytest.mark.parametrize(
+    "g, dtype",
+    [
+        # the largest E at each p and dtype: p^{2E} < 2^31, and < 2^62
+        (PGroupType(2, (1, 15)), np.int32),
+        (PGroupType(2, (1, 30)), np.int64),
+        (PGroupType(3, (1, 9)), np.int32),
+        (PGroupType(3, (1, 1, 19)), np.int64),
+        (PGroupType(5, (1, 6)), np.int32),
+        (PGroupType(5, (2, 13)), np.int64),
+        (PGroupType(7, (1, 5)), np.int32),
+        (PGroupType(7, (1, 11)), np.int64),
+        (PGroupType(2053, (1, 1, 1)), np.int32),
+        (PGroupType(2053, (1, 2)), np.int64),
+        # n = 1, where p^{E+1} sets the dtype
+        (PGroupType(3, (18,)), np.int32),
+        (PGroupType(2, (60,)), np.int64),
+        # equal exponents, and n = 4, 5
+        (PGroupType(3, (2, 2, 2)), np.int32),
+        (PGroupType(7, (3, 3)), np.int32),
+        (PGroupType(3, (1, 1, 2, 2)), np.int32),
+        (PGroupType(2, (1, 1, 1, 1, 1)), np.int32),
+        (PGroupType(5, (1, 1, 2, 3, 7)), np.int64),
+    ],
+    ids=_dtype_id,
+)
+def test_fix_exponents_matches_the_gcd_keyed_elimination(g, dtype):
+    # the valuation keys and exact divisions against the gcd keys, the
+    # divisions by the pivot and the pass over v <= E they replaced, on
+    # random canonical stacks with one multiplier per matrix
+    assert _sweep._stack_dtype(g) == dtype
+    rng = np.random.default_rng(g.p + len(g.e))
+    edges = _edge_matrices(g, dtype)
+    stack = np.concatenate([edges, _random_canonical(g, rng, 509, dtype)], axis=2)
+    given = stack.copy()
+    ks = rng.integers(1, g.p, stack.shape[2]).astype(dtype)
+    ks[: edges.shape[2]] = 1
+    for multiplier in [ks, g.p - 1]:
+        exps = _sweep._fix_exponents(stack, g, multiplier)
+        assert np.array_equal(exps, gcd_fix_exponents(stack, g, multiplier))
+        for b in range(8):  # the edge matrices and a few random ones, per object
+            k = int(np.broadcast_to(multiplier, ks.shape)[b])
+            em = scale(_sweep._to_endo(g, stack[:, :, b]), k)
+            assert fixed_point_count(em).nu(g.p) == exps[b]
+    assert np.array_equal(stack, given)
+    assert _sweep._fix_exponents(stack[:, :, :1], g, 1).tolist() == [g.total_exponent]
+
+
+def _valuation(a, p, cap):
+    v = 0
+    while v < cap and a % p**(v + 1) == 0:
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=_dtype_id)
+@pytest.mark.parametrize("p", [3, 5, 7, 2053])
+def test_valuations_match_the_exact_valuation(p, dtype):
+    # every power of p in the dtype, its neighbours and random multiples,
+    # 0 and the largest entry, under a small cap and under the largest
+    rng = np.random.default_rng(p)
+    largest = np.iinfo(dtype).max
+    powers = [p**j for j in range(64) if p**j <= largest]
+    values = {0, 1, largest, largest - 1}
+    for q in powers:
+        values |= {q, q - 1, q + 1, largest // q * q}
+        values |= {int(m) * q for m in rng.integers(1, largest // q + 1, 8)}
+    a = np.array(sorted(v for v in values if 0 <= v <= largest), dtype=dtype)
+    for cap in [1, 3, len(powers) - 1, len(powers)]:
+        got = _sweep._valuations(a, p, cap)
+        assert got.tolist() == [_valuation(int(v), p, cap) for v in a]
 
 
 @pytest.mark.parametrize(

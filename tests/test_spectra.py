@@ -17,7 +17,6 @@ from reidemeister import (
     apply,
     companion_matrix,
     elements,
-    enumerate_automorphisms,
     find_irreducible,
     is_automorphism,
     parse_matrix,
@@ -32,6 +31,8 @@ from reidemeister import (
     witness_abelian,
 )
 from reidemeister.spectra import is_irreducible
+
+from reference import enumerate_automorphisms
 
 
 def brute_pi(em):
