@@ -45,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import IntMatrix
-from .decomposition import abc_decompose, column_structure_check, restrict
+from .decomposition import _column_reports, abc_decompose, restrict
 from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism
 from .errors import BudgetExceeded, InvariantViolation
 from .oracle import (
@@ -358,9 +358,7 @@ def _sample_indices(total: int, quota: int) -> np.ndarray:
 
 
 def _to_endo(g: PGroupType, mat: np.ndarray) -> EndoMatrix:
-    n = g.n
-    entries = tuple(int(v) for v in mat.reshape(-1))
-    return EndoMatrix(g, IntMatrix(n, n, entries))
+    return EndoMatrix(g, IntMatrix(g.n, g.n, tuple(mat.reshape(-1).tolist())))
 
 
 def _stack_dtype(g: PGroupType):
@@ -542,9 +540,8 @@ def sweep_cell(g: PGroupType, budget) -> CellReport:
 
 
 def _reference_structure_ok(em: EndoMatrix, dec) -> bool:
-    return is_automorphism(restrict(em, dec.d)) and all(
-        r.ok for r in column_structure_check(em)
-    )
+    restricted = restrict(em, dec.d)
+    return is_automorphism(restricted) and all(r.ok for r in _column_reports(restricted, dec))
 
 
 @lru_cache(maxsize=64)

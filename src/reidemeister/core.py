@@ -138,7 +138,7 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatch(f"negative shape {self.rows}x{self.cols}")
-        entries = tuple(int(v) for v in self.entries)
+        entries = tuple(map(int, self.entries))
         if len(entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
@@ -400,22 +400,41 @@ def lattice_index(generators: IntMatrix) -> int:
     """Index in Z^n of the lattice spanned by the columns of an n x m
     matrix (m >= n); equals the product of the Smith invariant factors.
 
+    Computed as |det| of a triangular column basis (Cohen, "A Course in
+    Computational Algebraic Number Theory", 2.4), without Smith's
+    divisibility chain: in each row, unimodular extended-Euclid steps
+    fold the columns that are non-zero there into one basis column.
     Raises RankDeficient when the columns do not span a finite-index
     sublattice.
     """
-    n = generators.rows
-    if generators.cols < n:
-        raise RankDeficient(
-            f"{generators.cols} columns cannot span a rank-{n} lattice"
-        )
-    if n == 0:
-        return 1
-    invariants = smith_invariants(generators)
+    n, m = generators.rows, generators.cols
+    if m < n:
+        raise RankDeficient(f"{m} columns cannot span a rank-{n} lattice")
+    # each column as its entries from the current row down
+    cols = [generators.entries[j::m] for j in range(m)]
     index = 1
-    for s in invariants[:n]:
-        if s == 0:
+    for _ in range(n):
+        pivot, rest = None, []
+        for c in cols:  # in column order: the first live column pivots
+            if not c[0]:
+                rest.append(c)
+            elif pivot is None:
+                pivot = c
+            elif c[0] % pivot[0] == 0:
+                q = c[0] // pivot[0]
+                rest.append([t - q * s for s, t in zip(pivot, c)])
+            else:
+                # unimodular step to x*pivot + y*c (top g) and (a*c - b*pivot) / g (top 0)
+                a, b = pivot[0], c[0]
+                g = gcd(a, b)
+                x = pow(a // g, -1, abs(b // g))
+                y = (g - x * a) // b
+                rest.append([a // g * t - b // g * s for s, t in zip(pivot, c)])
+                pivot = [x * s + y * t for s, t in zip(pivot, c)]
+        if pivot is None:
             raise RankDeficient("columns span a lattice of deficient rank")
-        index *= s
+        index *= abs(pivot[0])
+        cols = [c[1:] for c in rest]
     return index
 
 

@@ -16,6 +16,7 @@ conjugates the matrix by diag(p^{d_1}, ..., p^{d_n}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .core import IntMatrix
@@ -77,6 +78,7 @@ class BlockDecomposition:
         return self.b + self.c
 
 
+@lru_cache(maxsize=256)
 def abc_decompose(g: PGroupType) -> BlockDecomposition:
     """Split the type vector into a/b/c blocks and compute d(e)."""
     e = g.e
@@ -172,24 +174,27 @@ def restrict(em: EndoMatrix, d: Sequence[int]) -> EndoMatrix:
     The result is D^{-1} M D with D = diag(p^{d_1}, ..., p^{d_n}); all
     entries are integral whenever d is characteristic and d_i < e_i.
     """
-    g = em.group
     d = tuple(int(v) for v in d)
+    sub = _subgroup_type(em.group, d)
+    n, powers = sub.n, [em.group.p**v for v in d]
+    entries = []
+    for i in range(n):
+        for v, power in zip(em.m.row(i), powers):
+            num = v * power
+            if num % powers[i]:
+                raise InvariantViolation("conjugated entry is not integral")
+            entries.append(num // powers[i])
+    return EndoMatrix(sub, IntMatrix(n, n, tuple(entries)))
+
+
+@lru_cache(maxsize=256)
+def _subgroup_type(g: PGroupType, d: tuple[int, ...]) -> PGroupType:
+    """Type e - d of the characteristic subgroup of depths d < e."""
     if not is_characteristic(g, d):
         raise NotCharacteristic(f"depths {d} are not characteristic for {g}")
     if any(d[i] == g.e[i] for i in range(g.n)):
         raise FullDepth("restriction needs d_i < e_i for every i")
-    sub = PGroupType(g.p, tuple(ei - di for ei, di in zip(g.e, d)))
-    p = g.p
-    entries = []
-    for i in range(g.n):
-        row = em.m.row(i)
-        for j in range(g.n):
-            num = row[j] * p ** d[j]
-            den = p ** d[i]
-            if num % den:
-                raise InvariantViolation("conjugated entry is not integral")
-            entries.append(num // den)
-    return EndoMatrix(sub, IntMatrix(g.n, g.n, tuple(entries)))
+    return PGroupType(g.p, tuple(ei - di for ei, di in zip(g.e, d)))
 
 
 @dataclass(frozen=True)
@@ -215,9 +220,12 @@ def column_structure_check(em: EndoMatrix) -> list[ColumnReport]:
     if not is_automorphism(em):
         raise NotAutomorphism("column structure is only defined for automorphisms")
     dec = abc_decompose(em.group)
-    restricted = restrict(em, dec.d)
-    p = em.group.p
-    n = em.group.n
+    return _column_reports(restrict(em, dec.d), dec)
+
+
+def _column_reports(restricted: EndoMatrix, dec: BlockDecomposition) -> list[ColumnReport]:
+    """column_structure_check's reports for restricted = restrict(em, dec.d)."""
+    p, n = restricted.group.p, restricted.group.n
     reports = []
     for blk in dec.blocks:
         if blk.kind == "a":

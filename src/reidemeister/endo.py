@@ -13,9 +13,10 @@ mod p^{e_i}, so two matrices are equal iff they induce the same map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import Factored, IntMatrix, is_prime, lattice_index
 from .core import det_mod_p as _det_mod_p
@@ -75,7 +76,7 @@ class PGroupType:
     def order(self) -> int:
         return self.p**self.total_exponent
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(self.p**v for v in self.e)
 
@@ -208,25 +209,28 @@ def fixed_point_count(em: EndoMatrix) -> Factored:
     block [M - I | diag(p^{e_1}, ..., p^{e_n})]; this equals both
     |ker(Id - phi)| and the number of twisted conjugacy classes of phi.
     """
-    g = em.group
+    return Factored.prime_power(em.group.p, _fixed_point_exponent(em.group, em.m.entries))
+
+
+def _fixed_point_exponent(g: PGroupType, entries: Sequence[int]) -> int:
+    """Exponent of p in the index of fixed_point_count's lattice, for the
+    n x n matrix M with these row-major entries; M need not be reduced
+    mod p^{e_i}, since the diagonal block absorbs such multiples."""
     n = g.n
-    if n == 0:
-        return Factored.one()
-    moduli = g.moduli
-    entries = []
-    for i in range(n):
-        row = list(em.m.row(i))
+    generators = []
+    for i, modulus in enumerate(g.moduli):
+        row = [*entries[i * n : (i + 1) * n], *[0] * n]
         row[i] -= 1
-        row.extend(moduli[i] if j == i else 0 for j in range(n))
-        entries.extend(row)
-    index = lattice_index(IntMatrix(n, 2 * n, tuple(entries)))
+        row[n + i] = modulus
+        generators += row
+    index = lattice_index(IntMatrix(n, 2 * n, tuple(generators)))
     nu = 0
     while index % g.p == 0:
         index //= g.p
         nu += 1
     if index != 1:
         raise InvariantViolation("fixed-point index must be a power of p")
-    return Factored.prime_power(g.p, nu)
+    return nu
 
 
 def reidemeister_number(em: EndoMatrix) -> Factored:

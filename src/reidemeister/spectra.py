@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import Factored, IntMatrix, factorize, is_prime
 from .decomposition import Block, abc_decompose
-from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism, scale
+from .endo import EndoMatrix, PGroupType, _fixed_point_exponent, is_automorphism
 from .errors import (
     InvariantViolation,
     NotAutomorphism,
@@ -142,10 +142,12 @@ def product_number(em: EndoMatrix) -> Factored:
     """Pi(phi): product over i in [1, p-1] of |Fix(mul_i . phi)|."""
     if not is_automorphism(em):
         raise NotAutomorphism("product number is only defined for automorphisms")
-    result = Factored.one()
-    for i in range(1, em.group.p):
-        result = result * fixed_point_count(scale(em, i))
-    return result
+    g, entries = em.group, em.m.entries
+    if g.n == 0:  # every multiple fixes the one element
+        return Factored.one()
+    # i*M, unreduced, is a matrix of mul_i . phi: see _fixed_point_exponent
+    nu = sum(_fixed_point_exponent(g, [i * v for v in entries]) for i in range(1, g.p))
+    return Factored.prime_power(g.p, nu)
 
 
 def spec_r_odd_p(g: PGroupType) -> Spectrum:

@@ -249,6 +249,26 @@ def test_pi_command(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+def test_trivial_group_at_a_large_prime_ends_quickly():
+    # the product number of the trivial group once multiplied p - 1 ones;
+    # a subprocess with a timeout fails instead of hanging
+    env = {**os.environ, "PYTHONPATH": str(Path(reidemeister.__file__).parents[1])}
+    cases = {
+        ("pi", "p=1000000007 e=", "--matrix", ""): "1",
+        ("verify", "-p", "1000000007", "-e", ""): (
+            "p=1000000007 e= endos=1 autos=1 R=ok Pi=ok bounds=ok structure=ok samples=ok\n"
+            "summary: 1 cells, 1 passed, 0 failed, 0 skipped"
+        ),
+    }
+    for argv, expected in cases.items():
+        done = subprocess.run(
+            [sys.executable, "-m", "reidemeister", *argv],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
+
+
 def test_matrix_error_exits(capsys):
     code, _, err = run(capsys, "reidemeister", "p=2", "e=1,2", "--matrix", "1,1;1,1")
     assert code == 5 and "invalid matrix" in err

@@ -317,6 +317,39 @@ def test_intmatrix_matmul():
         matmul(a, parse_matrix("1,2,3"))
 
 
+def smith_product(mat):
+    """prod(smith_invariants(mat)[:n]), or None when one of them is 0."""
+    product = 1
+    for s in smith_invariants(mat)[: mat.rows]:
+        if s == 0:
+            return None
+        product *= s
+    return product
+
+
+@st.composite
+def wide_matrix(draw):
+    # n <= 5 rows, n to 2n + 1 columns; sparse entries of both signs, so
+    # that rank-deficient draws are common too
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(n, 2 * n + 1))
+    entries = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, -6, 9]), min_size=n * m, max_size=n * m))
+    return IntMatrix(n, m, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_matrix())
+def test_lattice_index_matches_smith_product(mat):
+    # the column triangularization against the Smith route it replaced,
+    # RankDeficient exactly when an invariant factor is 0
+    expected = smith_product(mat)
+    if expected is None:
+        with pytest.raises(RankDeficient):
+            lattice_index(mat)
+    else:
+        assert lattice_index(mat) == expected
+
+
 def test_block_diagonal():
     m = IntMatrix.block_diagonal([parse_matrix("2"), parse_matrix("0,1;1,0")])
     assert m.to_rows() == [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
@@ -347,6 +380,17 @@ def test_factored_validation():
     with pytest.raises(ValueError):
         Factored({2: -1})
     assert Factored({2: 0}) == Factored.one()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**6))
+def test_factored_product_stays_canonical(a, b):
+    product = Factored.from_int(a) * Factored.from_int(b)
+    expected = Factored.from_int(a * b)
+    assert product == expected
+    assert hash(product) == hash(expected)
+    assert str(product) == str(expected)
+    assert product.factorization == expected.factorization
 
 
 def test_factored_hashable_set_member():

@@ -36,7 +36,7 @@ from reidemeister import (
 from reidemeister.decomposition import abc_decompose
 from reidemeister.oracle import DEFAULT_BUDGET, _hillar_rhea_aut_count, canonical_parameters
 from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
-from reidemeister import _sweep
+from reidemeister import _sweep, endo
 
 from reference import enumerate_automorphisms, enumerate_endomorphisms, gcd_fix_exponents
 
@@ -463,6 +463,47 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
         assert chunks == triple_chunks
         assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.TRIPLE_SAMPLES))
         assert rep.samples_ok and rep.mismatches == 0
+
+
+def test_sample_reanchoring_runs_the_whole_reference_route(monkeypatch):
+    # every sampled automorphism of a p = 5 cell reaches product_number and
+    # _reference_structure_ok once, and each product number multiplies
+    # p - 1 lattice indices, one per unit multiple
+    g = PGroupType(5, (1, 2))
+    total = endomorphism_count(g)
+    indices = _sweep._sample_indices(total, _sweep.SWEEP_SAMPLES)
+    mats = _sweep._decode(indices, *canonical_parameters(g), g.n)
+    autos = sum(is_automorphism(_sweep._to_endo(g, mat)) for mat in mats)
+    assert len(indices) == _sweep.SWEEP_SAMPLES and 0 < autos < len(indices)
+
+    calls = Counter()
+    per_product = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            before = calls["lattice_index"]
+            out = fn(*args)
+            if name == "product_number":
+                per_product.append(calls["lattice_index"] - before)
+            return out
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in [
+        (_sweep, "product_number"),
+        (_sweep, "_reference_structure_ok"),
+        (_sweep, "fixed_point_count"),
+        (endo, "lattice_index"),
+    ]:
+        counting(module, name)
+    assert _sweep._recheck_samples(g, total) == (len(indices), True)
+    assert calls["product_number"] == calls["_reference_structure_ok"] == autos
+    assert calls["fixed_point_count"] == autos
+    assert per_product == [g.p - 1] * autos
+    assert calls["lattice_index"] == autos * g.p
 
 
 def _multiset(mats):
