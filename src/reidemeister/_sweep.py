@@ -5,9 +5,9 @@ build one EndoMatrix at a time.  Both walks decode parameter indices in
 numpy chunks that ``_chunks`` alone sizes (the trivial group is n = 0):
 ``triple_check`` walks every endomorphism (``_walk``) and counts its
 fixed points three ways, ``sweep_cell`` only the automorphisms.  The
-stages take the batch-last (n, n, B) stacks that ``_automorphisms``
-yields; ``triple_check`` and ``_recheck_samples`` keep (B, n, n) for the
-element kernel and per-object loop, and pass the stages transposed views.
+stages and the element kernel take the batch-last (n, n, B) stacks that
+``_automorphisms`` yields; ``triple_check`` and ``_recheck_samples``
+keep (B, n, n) for their per-object loops and pass transposed views.
 
 p | M_ij when e_i > e_j, so mod p a canonical matrix M is block upper
 triangular over the runs of equal exponents (Hillar and Rhea, Amer.
@@ -25,13 +25,15 @@ Hillar-Rhea count.
 
 All arithmetic stays exact: ``_product_bound`` bounds every intermediate
 of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
-every reduction is ``_reduce`` or, in the p = 2 element kernel, a mask,
-the elimination keys pivots by valuation and divides only exactly (by
-shifts, or by inverses mod 2^w), and cells past the int64 bounds of
-``batchable`` raise BudgetExceeded like cells over the enumeration
-budget.  A deterministic sample of every cell, automorphisms or not, is
-re-checked through the plain per-object APIs, so the batched results
-stay anchored to the reference implementations.
+every reduction is ``_reduce`` (a mask at powers of two), the element
+kernel sums integer terms over the coordinate grid, in int32 while they
+stay below 2^31 (``_element_counts``), the elimination keys pivots by
+valuation and divides only exactly (by shifts, or by inverses mod 2^w),
+and cells past the int64 bounds of ``batchable`` raise BudgetExceeded
+like cells over the enumeration budget.  A deterministic sample of every
+cell, automorphisms or not, is re-checked through the plain per-object
+APIs, so the batched results stay anchored to the reference
+implementations.
 """
 
 from __future__ import annotations
@@ -544,64 +546,62 @@ def _reference_structure_ok(em: EndoMatrix, dec) -> bool:
     return is_automorphism(restricted) and all(r.ok for r in _column_reports(restricted, dec))
 
 
+def _element_counts(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.ndarray]:
+    """(fixed, image_sizes) per matrix of an (n, n, B) stack: the elements x
+    of g with x - phi(x) = 0, and the distinct x - phi(x).  For coordinate i
+    the terms (x_j a_ij mod m_i) * w_i * B, a = Id - M, w the place values
+    and x_j on grid axis j, add by broadcasting into an (order, B) grid with
+    the batch axis last, and one reduction mod m_i w_i B finishes the sum,
+    as (a mod m) w = a w mod m w; the coordinates and the lanes b sum to
+    code(x - phi(x)) * B + b.  Exact in int32 while p^{2E} + p^E (``_reduce``
+    of x_j a_ij) and n * order * B are below 2^31, in int64 otherwise."""
+    n, order, batch, largest = g.n, g.order, _batch(mats, g.n), g.p ** max(g.e, default=0)
+    small = largest * (largest + 1) < 2**31 and n * order * batch < 2**31
+    dtype = np.int32 if small else np.int64
+    a = np.subtract(np.eye(n, dtype=dtype)[:, :, None], mats, dtype=dtype)
+    codes = lanes = np.arange(batch, dtype=dtype)
+    # one allocation for both grids: glibc returned two separate ones to the
+    # system after every chunk and page-faulted them in again
+    grids = np.empty((2, *g.moduli, batch), dtype=dtype)
+    for i, (m, w) in enumerate(zip(g.moduli, _weights(g.moduli).tolist())):
+        # the terms are multiples of w * B, so a lane b < w * B survives the reduction
+        grid, out = lanes if i == 0 else 0, grids[min(i, 1)]
+        for j, mj in enumerate(g.moduli):
+            term = _reduce(np.arange(mj, dtype=dtype)[:, None] * a[i, j], m)
+            term *= w * batch
+            term = term.reshape((1,) * j + (mj,) + (1,) * (n - 1 - j) + (batch,))
+            grid = np.add(grid, term, out=out if j == n - 1 else None)
+        _reduce(grid, m * w * batch, out=grid)
+        codes = np.add(codes, grid, out=codes) if i else grid
+    seen, flat = np.zeros(order * batch, dtype=bool), codes.reshape(-1)
+    for k in range(0, flat.size, 1 << 15):  # numpy indexes by intp: cast cache-sized blocks
+        seen[flat[k : k + (1 << 15)].astype(np.intp)] = True
+    # the counts are at most order; sums into int32 run faster than into int64
+    fixed = (codes.reshape(order, batch) == lanes).sum(axis=0, dtype=dtype)
+    return fixed, seen.reshape(order, batch).sum(axis=0, dtype=dtype)
+
+
 @lru_cache(maxsize=64)
 def triple_check(g: PGroupType, budget) -> TripleReport:
     """Compare the three fixed-point counting routes over every canonical
     endomorphism of the cell at the element level."""
     total = _check_cell(g, budget)
     order = _check_order_budget(g, budget)
-    n, p = g.n, g.p
-    # dot products are bounded by n * p^{2 e_n}; pick representations in
-    # which every intermediate stays exact
-    largest = p ** max(g.e, default=0)
-    prod_bound = n * largest * largest
-    if prod_bound >= 2**53:
-        # such a cell has at least 2^50 endomorphism x element pairs
-        raise BudgetExceeded(f"cell {g} exceeds the float64 bound of the element kernel")
-    mat_dtype = np.float32 if prod_bound < 2**24 else np.float64
-    int_dtype = np.int32 if prod_bound < 2**31 else np.int64
-
-    # element table: column k holds the coordinates of element k
-    moduli = np.array(g.moduli, dtype=np.int64)
-    weights = _weights(moduli)
-    cols = np.arange(order, dtype=np.int64)
-    table = (cols[None, :] // weights[:, None]) % moduli[:, None]
-    table_m = table.astype(mat_dtype)
-    table_i = table.astype(int_dtype)
-    weights_i = weights.astype(int_dtype)
-    low_bits = (moduli - 1).astype(int_dtype)
-
+    if g.n * g.p ** (2 * max(g.e, default=0)) >= 2**53:
+        # n <= 7 in batchable cells: p^E endomorphisms x p^E elements >= 2^50
+        raise BudgetExceeded(f"cell {g} has at least 2^50 endomorphism x element pairs")
     mismatches, samples_checked, samples_ok = 0, 0, True
 
-    # the element kernel is memory-bound: with at most 2^19 entries per
-    # (chunk, n, order) intermediate, 2 MiB as float32 or int32, it stays in
-    # a typical per-core L2 cache (2^23 entries made it 1.3-1.4x slower)
-    chunk = max(1, min(1 << 13, (1 << 19) // max(1, order * n)))
+    # the element kernel is memory-bound: n * order * B <= 2^19 keeps each
+    # of its int32 (order, B) arrays within 2 MiB / n, near L2-cache size
+    chunk = max(1, min(1 << 13, (1 << 19) // max(1, order * g.n)))
     for mats, positions in _walk(g, total, TRIPLE_SAMPLES, chunk):
-        # difference element x - phi(x), encoded in mixed radix; an
-        # element is fixed exactly when its code is zero
-        diff = np.matmul(mats.astype(mat_dtype), table_m).astype(int_dtype)
-        np.subtract(table_i[None], diff, out=diff)
-        if p == 2:
-            # moduli are powers of two: low bits give the residue
-            diff &= low_bits[None, :, None]
-        else:
-            for i, m in enumerate(g.moduli):
-                _reduce(diff[:, i], m, out=diff[:, i])
-        codes = np.einsum("bnq,n->bq", diff, weights_i)
-        brute = (codes == 0).sum(axis=1)
-
-        span = codes.shape[0] * order
-        offset = np.arange(codes.shape[0], dtype=np.int64)[:, None] * order
-        seen = np.zeros(span, dtype=bool)
-        seen[(codes + offset).reshape(-1)] = True
-        image_sizes = seen.reshape(codes.shape[0], order).sum(axis=1)
+        stack = mats.transpose(1, 2, 0)
+        brute, image_sizes = _element_counts(stack, g)
         if (order % image_sizes).any():
             raise InvariantViolation("image size must divide the group order")
         twisted = order // image_sizes
-
-        lattice = p ** _fix_exponents(mats.transpose(1, 2, 0), g, 1)
-
+        lattice = g.p ** _fix_exponents(stack, g, 1)
         mismatches += int((brute != twisted).sum())
         mismatches += int((brute != lattice).sum())
 

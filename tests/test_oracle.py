@@ -130,8 +130,8 @@ def _meshgrid_counts(em):
     g = em.group
     moduli = np.array(g.moduli, dtype=np.int64)
     grid = np.meshgrid(*[np.arange(m) for m in g.moduli], indexing="ij")
-    x = np.stack([axis.reshape(-1) for axis in grid])
-    y = (np.array(em.m.to_rows(), dtype=np.int64) @ x) % moduli[:, None]
+    x = np.array([axis.reshape(-1) for axis in grid], dtype=np.int64).reshape(g.n, g.order)
+    y = (np.array(em.m.to_rows(), dtype=np.int64).reshape(g.n, g.n) @ x) % moduli[:, None]
     fixed = int((y == x).all(axis=0).sum())
     image = np.unique((x - y) % moduli[:, None], axis=1).shape[1]
     return fixed, image
@@ -146,6 +146,45 @@ def test_element_loops_match_meshgrid(g):
         assert brute_fixed_points(em) == fixed
         assert twisted_class_count(em) == g.order // image
         assert fixed * image == g.order
+
+
+def _assert_element_counts(g, mats, dtype):
+    # the kernel on the whole (n, n, B) stack and on uneven thirds of it
+    # (B need not be a power of p), against _meshgrid_counts per matrix
+    expected = [_meshgrid_counts(_sweep._to_endo(g, mat)) for mat in mats]
+    got = []
+    for part in [mats, *np.array_split(mats, 3)]:
+        fixed, image = _sweep._element_counts(part.transpose(1, 2, 0), g)
+        assert fixed.dtype == image.dtype == dtype
+        got.append(list(zip(fixed.tolist(), image.tolist())))
+    assert got[0] == got[1] + got[2] + got[3] == expected
+
+
+@pytest.mark.parametrize(
+    "g",
+    [PGroupType(p, ()) for p in (2, 3, 5)]
+    + [PGroupType(2, (3,)), PGroupType(3, (2,)), PGroupType(5, (2,))]
+    + [PGroupType(2, (1, 2)), PGroupType(3, (1, 1)), PGroupType(5, (1, 1))]
+    + [PGroupType(2, (1, 1, 2)), PGroupType(3, (1, 1, 1)), PGroupType(5, (1, 1, 1))],
+    ids=str,
+)
+def test_element_counts_match_meshgrid(g):
+    # every endomorphism of the cell, or an even spread of 512 of the 3^9
+    # and 5^9 of the n = 3 cells at odd p
+    total = endomorphism_count(g)
+    indices = _sweep._sample_indices(total, 1024 if g.p == 2 else 512)
+    mats = _sweep._decode(indices, *canonical_parameters(g), g.n)
+    _assert_element_counts(g, mats, np.int32)
+
+
+@pytest.mark.parametrize("e, dtype", [(15, np.int32), (16, np.int64)], ids=["int32", "int64"])
+def test_element_counts_at_the_largest_exponents(e, dtype):
+    # p^{2E} = 2^30 is the last int32 cell at n = 1, where only the reduction
+    # of every x_j a_ij keeps the sums in range; at 2^32 the products need int64
+    g = PGroupType(2, (e,))
+    top = 2**e
+    mats = np.array([top - 1, top // 2 + 1, top // 2, 5, 3, 2, 1, 0]).reshape(-1, 1, 1)
+    _assert_element_counts(g, mats, dtype)
 
 
 def test_triple_agreement_exhaustive_small():
@@ -671,12 +710,14 @@ def test_run_block_invertibility_matches_full_determinant(g, monkeypatch):
     assert structure.any() and not structure.all()
 
 
-def test_triple_check_past_float64_bound_is_over_budget():
-    # n * p^{2E} >= 2^53: over budget before the 2^27-element table is built
+def test_triple_check_past_float64_bound_is_over_budget(monkeypatch):
+    # n * p^{2E} >= 2^53, so at least 2^50 endomorphism x element pairs:
+    # over budget before _walk, whose _chunks would list 2^27 chunk starts
     huge = EnumBudget(max_endos=2**70, max_group_order=2**70)
+    monkeypatch.setattr(_sweep, "_walk", None)
     for g in [PGroupType(2, (27,)), PGroupType(2, (1, 26))]:
         assert _sweep.batchable(g)
-        with pytest.raises(BudgetExceeded, match="float64"):
+        with pytest.raises(BudgetExceeded, match="2\\^50 endomorphism x element pairs"):
             _sweep.triple_check(g, huge)
 
 
@@ -917,6 +958,7 @@ def test_stages_refuse_a_batch_first_stack():
         lambda mats: _sweep._structure_ok(mats, g),
         lambda mats: _sweep._live(mats, g),
         lambda mats: _sweep._invertible_mod_p(mats, g.e, g.p),
+        lambda mats: _sweep._element_counts(mats, g),
     ]
     identity = np.eye(3, dtype=np.int32)[None]
     for stage in stages:
