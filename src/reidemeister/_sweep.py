@@ -28,8 +28,9 @@ of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
 every reduction is ``_reduce`` (a mask at powers of two), the element
 kernel sums integer terms over the coordinate grid, in int32 while they
 stay below 2^31 (``_element_counts``), the elimination keys pivots by
-valuation and divides only exactly (by shifts, or by inverses mod 2^w),
-and cells past the int64 bounds of ``batchable`` raise BudgetExceeded
+valuation, divides only exactly (by shifts, or by inverses mod 2^w) and
+reads its last two valuations from a 2x2 determinant below p^{2E}, and
+cells past the int64 bounds of ``batchable`` raise BudgetExceeded
 like cells over the enumeration budget.  A deterministic sample of every
 cell, automorphisms or not, is re-checked through the plain per-object
 APIs, so the batched results stay anchored to the reference
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 from typing import Iterator
 
 import numpy as np
@@ -68,8 +69,9 @@ TRIPLE_SAMPLES = 24  # per-object re-checks per triple_check
 
 def _product_bound(g: PGroupType) -> int:
     """Bound on |x| for every intermediate of the stages on a stack: the
-    products of the elimination stay below p^{2E}.  With n = 1 there is
-    no elimination and the largest product is the unit scaling k*M < p^{E+1}.
+    products of the elimination stay below p^{2E}, and its closing 2x2
+    determinant ad - bc lies in (-p^{2E}, p^{2E}).  With n = 1 there is no
+    elimination and the largest product is the unit scaling k*M < p^{E+1}.
     The packed pivot keys key * n^2 + position of ``_fix_exponents`` stay
     below (p^E + 1) n^2: a key is 2^u <= 2^E at p = 2, the valuation u <= E
     at odd p, whose exact divisions wrap mod 2^w into quotients below p^E."""
@@ -92,6 +94,8 @@ def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     as one hardware division per element, about ten times slower.
     (a // m) * m lies in (a - m, a], and with |a| < p^{2E}, m <= p^E it
     keeps the stack's dtype: p^{2E} + p^E < 2^31 whenever p^{2E} < 2^31.
+    The closing determinant of ``_fix_exponents`` is reduced mod m = p^{2E}:
+    as |a| < m, (a // m) * m is -m or 0, which fits too.
     Writes into ``out`` when given, which must be a temporary of the
     caller, never a view of its input."""
     if m & (m - 1) == 0:
@@ -247,29 +251,67 @@ def _valuations(a: np.ndarray, p: int, cap: int) -> np.ndarray:
     return count
 
 
+@lru_cache(maxsize=None)
+def _closing_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bits, positions): a pivot at r * n + c adds bits[r * n + c] = 2^r +
+    2^{n + c} to a mask of 2n bits (n <= 7 in batchable cells), and
+    positions[:, mask] are the flat positions of the 2x2 block that n - 2
+    pivots with those marks leave, row by row."""
+    bits = np.array([1 << r | 1 << (n + c) for r in range(n) for c in range(n)], dtype=np.intp)
+    positions = np.zeros((4, 4**n), dtype=np.intp)
+    for (r0, r1), (c0, c1) in product(combinations(range(n), 2), repeat=2):
+        mask = 4**n - 1 - bits[r0 * n + c0] - bits[r1 * n + c1]
+        positions[:, mask] = [r0 * n + c0, r0 * n + c1, r1 * n + c0, r1 * n + c1]
+    return bits, positions
+
+
+def _valuation_keys(a: np.ndarray, p: int, cap: int) -> np.ndarray:
+    """Keys that order the entries of a C-contiguous array in [0, p^cap) by
+    u = min(v_p(a), cap), cap on 0: 2^u at p = 2, the lowest set bit of
+    a | 2^cap, and u at odd p, by ``_valuations``."""
+    if p != 2:
+        return _valuations(a, p, cap)
+    keys = a | (1 << cap)
+    keys &= -keys
+    return keys
+
+
+def _key_valuations(keys: np.ndarray, p: int) -> np.ndarray:
+    """The u of ``_valuation_keys``: 2^u = 0.5 * 2^{u + 1} at p = 2."""
+    return np.frexp(keys)[1] - 1 if p == 2 else keys
+
+
 def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     """Exponent of |Fix(mul_k . phi)| for an (n, n, B) stack of matrices,
     with one multiplier k for the stack or an array of one per matrix.  |Fix|
     is the index of the column lattice of [kM - I | diag(p^{e_i})]; scaling
     row i by p^{E - e_i}, E = e_n, makes it [N | p^E I], so the exponent is
     the sum of the Smith valuations of N over Z/p^E minus sum(E - e_i).
-    They come from a batched valuation-pivot elimination (Storjohann and
-    Mulders, ESA 1998): clear the column of an entry a of least valuation
-    u with the inverse-free (a / p^u) row_i - (a_ic / p^u) row_r, and drop
-    the pivot row and column; the exponent sums the pivots' u.
+    All but two come from n - 2 steps of a batched valuation-pivot
+    elimination (Storjohann and Mulders, ESA 1998): clear the column of an
+    entry a of least valuation u with the inverse-free (a / p^u) row_i -
+    (a_ic / p^u) row_r, drop the pivot row and column, and add u.
+
+    The rows and columns no pivot used hold a 2x2 block [[a, b], [c, d]],
+    over Z_p of Smith form diag(p^{s1}, p^{s2}) with s1 its least entry
+    valuation and s1 + s2 = v(ad - bc) (Smith 1861); mod p^E each s_i is
+    capped at E.  With t1 = min(s1, E) and t = min(v(ad - bc), 2E) the
+    capped pair sums to min(t, t1 + E): s1 + s2 when below 2E, else 2E if
+    s1 >= E and s1 + E if s1 < E < s2.  A 1x1 [a] has min(v(a), E).
 
     The entries stay in [0, p^E).  The pivot key of an entry a is its
     valuation u = min(v(a), E), E on a = 0: at p = 2 the lowest set bit
-    2^u of a | 2^E, at odd p ``_valuations``.  Every entry of the pivot
-    column is divisible by p^u, since used rows are zero and the pivot has
-    the least u of the active submatrix, so the divisions by p^u are exact:
-    shifts at p = 2, products with (p^u)^{-1} mod 2^w at odd p.
+    2^u of a | 2^E, at odd p u itself (``_valuation_keys``).  Every entry of
+    the pivot column is divisible by p^u, since used rows are zero and the
+    pivot has the least u of the active submatrix, so the divisions by p^u
+    are exact: shifts at p = 2, products with (p^u)^{-1} mod 2^w at odd p.
 
     The elimination works on a C-contiguous (n, n, B) copy, so every
     reduction, gather and update runs along contiguous rows of B entries.
     The pivot is the least packed key key * n^2 + position over the (n^2,
     B) view: the first entry of least valuation in row-major order, the
-    choice of an argmin over each matrix."""
+    choice of an argmin over each matrix.  ``_closing_tables`` maps the
+    rows and columns of the pivots to the positions of the block."""
     n, p = g.n, g.p
     top_exp = max(g.e, default=0)
     top = p**top_exp
@@ -283,6 +325,10 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
     work -= np.diag(scale)[:, :, None]
     _reduce(work, top, out=work)
     flat, entries = work.reshape(size, batch), work.reshape(-1)
+    offset = sum(top_exp - v for v in g.e)
+    if n < 2:  # [a] has the one valuation min(v(a), E), and [] none
+        keys = _valuation_keys(flat, p, top_exp)
+        return _key_valuations(keys, p).sum(axis=0, dtype=np.int64) - offset
     positions = np.arange(size, dtype=mats.dtype)[:, None]
     # entry (i, j) of matrix b is entries[(i * n + j) * B + b]
     lanes = np.arange(batch)
@@ -292,21 +338,18 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
         words = np.dtype(f"u{work.itemsize}")
         inverses = _inverse_powers(p, top_exp, words)[0]
     exps = np.zeros(batch, dtype=np.int64)
-    for step in range(n):
-        if p == 2:
-            keys = flat | top
-            keys &= -keys
-            keys *= size
-        else:
-            keys = np.multiply(_valuations(flat, p, top_exp), size, dtype=flat.dtype)
+    bits, block_at = _closing_tables(n)
+    used = np.zeros(batch, dtype=np.intp)
+    for _ in range(n - 2):
+        keys = _valuation_keys(flat, p, top_exp).astype(flat.dtype, copy=False)
+        keys *= size
         keys += positions
         # used rows and columns are zero, so they have u = E and are
         # never chosen while a live entry has a smaller u
         key, at = np.divmod(keys.min(axis=0), size)
-        u = np.frexp(key)[1] - 1 if p == 2 else key  # 2^u = 0.5 * 2^{u + 1}
+        u = _key_valuations(key, p)
         exps += u
-        if step == n - 1:
-            break
+        used |= bits.take(at)
         at = lanes + at.astype(lanes.dtype) * batch  # (r * n + c) * B + b
         col = at % (n * batch)  # c * B + b
         if p == 2:
@@ -320,7 +363,14 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
         work *= unit
         work -= factors[:, None] * pivot_row
         _reduce(work, top, out=work)
-    return exps - sum(top_exp - v for v in g.e)
+    # the block's entries are at positions * B + lanes, as in the pivot steps
+    block = entries.take((block_at * batch).take(used, axis=1) + lanes) if n > 2 else flat
+    det = block[0] * block[3] - block[1] * block[2]
+    t = _valuation_keys(_reduce(det, top * top), p, 2 * top_exp)
+    t1 = _valuation_keys(block, p, top_exp).min(axis=0)
+    # the key of min(t, t1 + E); at p = 2 that of t1 + E is 2^{t1} 2^E
+    closing = np.minimum(t, t1 * top if p == 2 else t1 + top_exp)
+    return exps + _key_valuations(closing, p) - offset
 
 
 def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:

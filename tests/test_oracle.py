@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby, product
+from itertools import combinations, groupby, permutations, product
 from math import comb, prod
 
 import numpy as np
@@ -886,6 +886,79 @@ def test_valuations_match_the_exact_valuation(p, dtype):
     for cap in [1, 3, len(powers) - 1, len(powers)]:
         got = _sweep._valuations(a, p, cap)
         assert got.tolist() == [_valuation(int(v), p, cap) for v in a]
+
+
+def _closing_blocks(p, top_exp):
+    # 2x2 blocks (a, b, c, d) with entries of valuation >= 1 in [0, p^E),
+    # for E >= 2 (E >= 3 at p = 2): all zero; ad = bc != 0; bc > ad, so
+    # ad - bc < 0; v(ad - bc) = 2E - 1, by a = d = p^E - x, b = c = x with
+    # v(p^E - 2x) = E - 1; and least valuation E - 1
+    top = p**top_exp
+    x = 2 ** (top_exp - 2) if p == 2 else p ** (top_exp - 1) * (p - 1) // 2
+    blocks = {
+        "zero": (0, 0, 0, 0),
+        "singular": (p, p, p, p),
+        "negative": (p, p, 2 * p, p),
+        "deep": (top - x, x, x, top - x),
+        "shallow": (top // p, 0, 0, top // p),
+    }
+    for name, (a, b, c, d) in blocks.items():
+        det = a * d - b * c
+        assert all(0 <= v < top and (v % p == 0) for v in (a, b, c, d))
+        assert {
+            "zero": (a, b, c, d) == (0, 0, 0, 0),
+            "singular": det == 0 and a != 0,
+            "negative": det < 0,
+            "deep": _valuation(det, p, 2 * top_exp) == 2 * top_exp - 1,
+            "shallow": min(_valuation(v, p, top_exp) for v in (a, b, c, d)) == top_exp - 1,
+        }[name]
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        PGroupType(2, (3, 3, 3)),
+        PGroupType(2, (3, 3, 3, 3)),
+        PGroupType(3, (2, 2, 2)),
+        PGroupType(3, (2, 2, 2, 2)),
+        PGroupType(5, (2, 2, 2)),
+        PGroupType(5, (2, 2, 2, 2)),
+        # p^{2E} >= 2^31: an int64 stack
+        PGroupType(2, (16, 16, 16)),
+    ],
+    ids=str,
+)
+def test_fix_exponents_closes_on_every_active_block(g):
+    # homocyclic, so at k = 1 the eliminated matrix is N = M - I mod p^E:
+    # unit pivots on a partial permutation of the other n - 2 rows and
+    # columns leave each block on each of the C(n, 2)^2 placements of the
+    # last 2x2 block, whose Smith valuations then sum to min(t, t1 + E)
+    n, top_exp, p = g.n, g.e[0], g.p
+    top = p**top_exp
+    mats, expected = [], []
+    for rows in combinations(range(n), 2):
+        for cols in combinations(range(n), 2):
+            used_rows = [i for i in range(n) if i not in rows]
+            used_cols = [j for j in range(n) if j not in cols]
+            for order in permutations(used_cols):
+                for a, b, c, d in _closing_blocks(p, top_exp):
+                    diff = np.zeros((n, n), dtype=object)
+                    for k, (i, j) in enumerate(zip(used_rows, order)):
+                        diff[i, j] = 1 if k % 2 else top - 1
+                    (r0, r1), (c0, c1) = rows, cols
+                    diff[r0, c0], diff[r0, c1], diff[r1, c0], diff[r1, c1] = a, b, c, d
+                    mats.append((diff + np.eye(n, dtype=object)) % top)
+                    t1 = min(_valuation(v, p, top_exp) for v in (a, b, c, d))
+                    expected.append(min(_valuation(a * d - b * c, p, 2 * top_exp), t1 + top_exp))
+    dtype = _sweep._stack_dtype(g)
+    assert dtype == (np.int64 if p ** (2 * top_exp) >= 2**31 else np.int32)
+    stack = np.stack(mats, axis=2).astype(dtype)
+    exps = _sweep._fix_exponents(stack, g, 1)
+    assert exps.tolist() == expected
+    assert np.array_equal(exps, gcd_fix_exponents(stack, g, 1))
+    for b in range(stack.shape[2]):
+        assert fixed_point_count(_sweep._to_endo(g, stack[:, :, b])).nu(p) == exps[b]
 
 
 @pytest.mark.parametrize(
