@@ -14,7 +14,6 @@ from .core import (
     format_matrix,
     lattice_index,
     parse_matrix,
-    smith_invariants,
 )
 from .decomposition import (
     Block,
@@ -23,7 +22,6 @@ from .decomposition import (
     abc_decompose,
     block_notation,
     column_structure_check,
-    d_sequence,
     is_characteristic,
     restrict,
 )
@@ -37,7 +35,6 @@ from .endo import (
     is_valid_endo,
     parse_type_spec,
     reidemeister_number,
-    scale,
     validate_type,
 )
 from .errors import (

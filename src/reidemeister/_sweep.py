@@ -4,10 +4,10 @@ A cell (p, e) has up to about 10^6 canonical endomorphisms, too many to
 build one EndoMatrix at a time.  Both walks decode parameter indices in
 numpy chunks that ``_chunks`` alone sizes (the trivial group is n = 0):
 ``triple_check`` walks every endomorphism (``_walk``) and counts its
-fixed points three ways, ``sweep_cell`` only the automorphisms.  The
-stages and the element kernel take the batch-last (n, n, B) stacks that
-``_automorphisms`` yields; ``triple_check`` and ``_recheck_samples``
-keep (B, n, n) for their per-object loops and pass transposed views.
+fixed points three ways, ``sweep_cell`` only the automorphisms.  Every
+stack is batch-last, (n, n, B), from ``_decode`` on: the stages and the
+element kernel run along contiguous rows of B entries, and the
+per-object loops read matrix b as [:, :, b].
 
 p | M_ij when e_i > e_j, so mod p a canonical matrix M is block upper
 triangular over the runs of equal exponents (Hillar and Rhea, Amer.
@@ -53,7 +53,7 @@ from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism
 from .errors import BudgetExceeded, InvariantViolation
 from .oracle import (
     _check_endo_budget,
-    _check_order_budget,
+    _check_order,
     _hillar_rhea_aut_count,
     brute_fixed_points,
     canonical_parameters,
@@ -94,6 +94,7 @@ def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     as one hardware division per element, about ten times slower.
     (a // m) * m lies in (a - m, a], and with |a| < p^{2E}, m <= p^E it
     keeps the stack's dtype: p^{2E} + p^E < 2^31 whenever p^{2E} < 2^31.
+    For a >= 0, as the packed pivot keys and their positions, it lies in [0, a].
     The closing determinant of ``_fix_exponents`` is reduced mod m = p^{2E}:
     as |a| < m, (a // m) * m is -m or 0, which fits too.
     Writes into ``out`` when given, which must be a temporary of the
@@ -217,10 +218,10 @@ def _weights(radices) -> np.ndarray:
 
 
 def _decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
-    """Map endomorphism indices to (B, n, n) canonical matrices, in int64."""
+    """Map endomorphism indices to an (n, n, B) stack of canonical matrices, in int64."""
     strides, counts = np.asarray(strides, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    params = (indices[:, None] // _weights(counts)[None, :]) % counts[None, :]
-    return (params * strides[None, :]).reshape(len(indices), n, n)
+    params = (indices[None, :] // _weights(counts)[:, None]) % counts[:, None]
+    return (params * strides[:, None]).reshape(n, n, len(indices))
 
 
 @lru_cache(maxsize=None)
@@ -346,12 +347,13 @@ def _fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:
         keys += positions
         # used rows and columns are zero, so they have u = E and are
         # never chosen while a live entry has a smaller u
-        key, at = np.divmod(keys.min(axis=0), size)
+        least = keys.min(axis=0)
+        key, at = least // size, _reduce(least, size)
         u = _key_valuations(key, p)
         exps += u
         used |= bits.take(at)
         at = lanes + at.astype(lanes.dtype) * batch  # (r * n + c) * B + b
-        col = at % (n * batch)  # c * B + b
+        col = _reduce(at, n * batch)  # c * B + b
         if p == 2:
             unit, factors = entries.take(at) >> u, entries.take(down + col) >> u
         else:
@@ -427,8 +429,8 @@ def _chunks(
     it inside one multiple of p^{K+1} never carries into digit K + 1: it
     is the first chunk, decoded once, plus its decoded start.  Returns
     (inner, chunks): chunk (start, length, shift) is the decode of indices
-    start .. start + length - 1, which is inner[:length] + shift, at
-    ``_stack_dtype``."""
+    start .. start + length - 1, which is inner[:, :, :length] + shift, the
+    shift an (n, n, 1) stack, at ``_stack_dtype``."""
     limit = min(cap, total)
     step = 1  # p^K, the largest power of p up to limit
     while step * g.p <= limit:
@@ -440,7 +442,8 @@ def _chunks(
     starts = [c + s for c in range(0, total, cycle) for s in range(0, cycle, width)]
     shifts = _decode(np.array(starts, dtype=np.int64), strides, counts, g.n).astype(dtype)
     return inner, [
-        (start, min(width, cycle - start % cycle), shift) for start, shift in zip(starts, shifts)
+        (start, min(width, cycle - start % cycle), shifts[:, :, k, None])
+        for k, start in enumerate(starts)
     ]
 
 
@@ -449,13 +452,13 @@ def _walk(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Decode all ``total`` canonical endomorphisms of g in index order, in
     the chunks of at most ``cap`` rows that ``_chunks`` cuts.  Yields
-    (mats, positions): the (B, n, n) chunk at ``_stack_dtype`` and the
-    rows of it that ``_sample_indices(total, quota)`` selects."""
+    (mats, positions): the (n, n, B) chunk at ``_stack_dtype`` and the
+    matrices of it that ``_sample_indices(total, quota)`` selects."""
     samples = _sample_indices(total, quota)
     inner, chunks = _chunks(g, *canonical_parameters(g), total, cap)
     for start, length, shift in chunks:
         lo, hi = np.searchsorted(samples, (start, start + length))
-        yield inner[:length] + shift, samples[lo:hi] - start
+        yield inner[:, :, :length] + shift, samples[lo:hi] - start
 
 
 def _inverse_mod_p(units: np.ndarray, p: int) -> np.ndarray:
@@ -504,17 +507,15 @@ def _automorphisms(g: PGroupType, cap: int) -> Iterator[tuple[np.ndarray, tuple]
     free_counts = [c // r for c, r in zip(counts, radix)]
     free_strides = [s * r for s, r in zip(strides, radix)]
     free_inner, frees = _chunks(g, free_strides, free_counts, math.prod(free_counts), cap)
-    per = cap // len(free_inner)  # kept patterns per chunk
-    # batch-last like the stages: one C-order copy of each table per cell
-    pattern_inner, free_inner = (t.transpose(1, 2, 0).copy() for t in (pattern_inner, free_inner))
+    per = cap // free_inner.shape[2]  # kept patterns per chunk
     for _, length, shift in patterns:
-        block = pattern_inner[:, :, :length] + shift[:, :, None]
+        block = pattern_inner[:, :, :length] + shift
         kept = np.compress(_invertible_mod_p(block, g.e, g.p), block, axis=2)
         for first in range(0, kept.shape[2], per):
             group = kept[:, :, first : first + per]
             live, ks = _live(group, g)
             for _, free_length, free_shift in frees:
-                rows = group[..., None] + free_shift[..., None, None]
+                rows = group[..., None] + free_shift[..., None]
                 rows = rows + free_inner[..., None, :free_length]
                 spread = live  # pattern i is rows i * free_length .. (i + 1) * free_length - 1
                 if live is not None:
@@ -543,14 +544,14 @@ def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
     batched stages against the per-object APIs."""
     indices = _sample_indices(total, SWEEP_SAMPLES)
     mats = _decode(indices, *canonical_parameters(g), g.n).astype(_stack_dtype(g))
-    amask = _invertible_mod_p(mats.transpose(1, 2, 0), g.e, g.p)
-    autos = mats[amask].transpose(1, 2, 0)  # views in the stages' layout
+    amask = _invertible_mod_p(mats, g.e, g.p)
+    autos = np.compress(amask, mats, axis=2)
     r_exp, pi_exp = _exponents(autos, _live(autos, g), g)
     rows = zip(r_exp.tolist(), pi_exp.tolist(), _structure_ok(autos, g).tolist())
     dec = abc_decompose(g)
     ok = True
-    for mat, auto in zip(mats, amask.tolist()):
-        em = _to_endo(g, mat)
+    for b, auto in enumerate(amask.tolist()):
+        em = _to_endo(g, mats[:, :, b])
         if not auto:
             ok &= not is_automorphism(em)
             continue
@@ -636,31 +637,27 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
     """Compare the three fixed-point counting routes over every canonical
     endomorphism of the cell at the element level."""
     total = _check_cell(g, budget)
-    order = _check_order_budget(g, budget)
-    if g.n * g.p ** (2 * max(g.e, default=0)) >= 2**53:
-        # n <= 7 in batchable cells: p^E endomorphisms x p^E elements >= 2^50
-        raise BudgetExceeded(f"cell {g} has at least 2^50 endomorphism x element pairs")
+    order = _check_order(g)
     mismatches, samples_checked, samples_ok = 0, 0, True
 
     # the element kernel is memory-bound: n * order * B <= 2^19 keeps each
     # of its int32 (order, B) arrays within 2 MiB / n, near L2-cache size
     chunk = max(1, min(1 << 13, (1 << 19) // max(1, order * g.n)))
     for mats, positions in _walk(g, total, TRIPLE_SAMPLES, chunk):
-        stack = mats.transpose(1, 2, 0)
-        brute, image_sizes = _element_counts(stack, g)
+        brute, image_sizes = _element_counts(mats, g)
         if (order % image_sizes).any():
             raise InvariantViolation("image size must divide the group order")
         twisted = order // image_sizes
-        lattice = g.p ** _fix_exponents(stack, g, 1)
+        lattice = g.p ** _fix_exponents(mats, g, 1)
         mismatches += int((brute != twisted).sum())
         mismatches += int((brute != lattice).sum())
 
         samples_checked += len(positions)
         for pos in positions:
-            em = _to_endo(g, mats[pos])
+            em = _to_endo(g, mats[:, :, pos])
             samples_ok &= (
-                brute_fixed_points(em, budget) == int(brute[pos])
-                and twisted_class_count(em, budget) == int(twisted[pos])
+                brute_fixed_points(em) == int(brute[pos])
+                and twisted_class_count(em) == int(twisted[pos])
                 and fixed_point_count(em).to_int() == int(lattice[pos])
             )
 

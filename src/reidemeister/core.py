@@ -1,7 +1,7 @@
 """Exact integer matrix arithmetic.
 
-Everything here runs on arbitrary-precision Python integers: Smith
-reduction, lattice indices and determinants mod p never round.  Matrices
+Everything here runs on arbitrary-precision Python integers: lattice
+indices and determinants mod p never round.  Matrices
 are immutable row-major tuples, so values can be shared freely between
 threads and used as dict keys.
 
@@ -29,7 +29,6 @@ from .errors import (
 __all__ = [
     "IntMatrix",
     "Factored",
-    "smith_invariants",
     "lattice_index",
     "det_mod_p",
     "parse_matrix",
@@ -313,87 +312,6 @@ class Factored:
 
     def __repr__(self) -> str:
         return f"Factored({dict(self._pairs)!r})"
-
-
-def smith_invariants(m: IntMatrix) -> list[int]:
-    """Diagonal of the Smith normal form: non-negative, each dividing the
-    next, zeros last; the list has min(rows, cols) entries.
-
-    Pivots are chosen by smallest non-zero absolute value, ties broken by
-    lowest row then lowest column index, so runs are reproducible.
-    """
-    rows, cols = m.rows, m.cols
-    size = min(rows, cols)
-    a = m.to_rows()
-    invariants: list[int] = []
-
-    for k in range(size):
-        pivot = _find_pivot(a, k, rows, cols)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-        if pj != k:
-            for r in a:
-                r[k], r[pj] = r[pj], r[k]
-        while True:
-            if a[k][k] < 0:
-                a[k] = [-v for v in a[k]]
-            # clear below, then to the right of the pivot
-            dirty = False
-            for i in range(k + 1, rows):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    if a[i][k]:
-                        dirty = True
-            for j in range(k + 1, cols):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    if q:
-                        for i in range(rows):
-                            a[i][j] -= q * a[i][k]
-                    if a[k][j]:
-                        dirty = True
-            if dirty:
-                pi, pj = _find_pivot(a, k, rows, cols)  # type: ignore[misc]
-                if pi != k:
-                    a[k], a[pi] = a[pi], a[k]
-                if pj != k:
-                    for r in a:
-                        r[k], r[pj] = r[pj], r[k]
-                continue
-            # pivot must divide the remaining submatrix for the chain property
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if a[i][j] % a[k][k]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[offender])]
-        invariants.append(a[k][k])
-
-    invariants.extend(0 for _ in range(size - len(invariants)))
-    return invariants
-
-
-def _find_pivot(a: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, int] | None:
-    best = None
-    best_abs = None
-    for i in range(k, rows):
-        row = a[i]
-        for j in range(k, cols):
-            v = row[j]
-            if v and (best_abs is None or abs(v) < best_abs):
-                best = (i, j)
-                best_abs = abs(v)
-    return best
 
 
 def lattice_index(generators: IntMatrix) -> int:

@@ -35,7 +35,6 @@ __all__ = [
     "BlockDecomposition",
     "ColumnReport",
     "abc_decompose",
-    "d_sequence",
     "is_characteristic",
     "restrict",
     "column_structure_check",
@@ -121,6 +120,7 @@ def abc_decompose(g: PGroupType) -> BlockDecomposition:
 
 
 def _depths(n: int, blocks: tuple[Block, ...]) -> tuple[int, ...]:
+    """d(e): d_1 = 0, +1 exactly on entering a new b- or c-block."""
     if n == 0:
         return ()
     owner = [0] * n
@@ -135,12 +135,6 @@ def _depths(n: int, blocks: tuple[Block, ...]) -> tuple[int, ...]:
         else:
             d[i] = d[i - 1] + 1
     return tuple(d)
-
-
-def d_sequence(dec: BlockDecomposition) -> tuple[int, ...]:
-    """Recompute the depth vector from the blocks (d_1 = 0; +1 exactly on
-    entering a new b- or c-block)."""
-    return _depths(len(dec.e), dec.blocks)
 
 
 def block_notation(dec: BlockDecomposition) -> str:

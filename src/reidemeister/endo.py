@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .core import Factored, IntMatrix, is_prime, lattice_index
@@ -26,7 +25,6 @@ from .errors import (
     InvalidEndoMatrix,
     InvariantViolation,
     NonPositiveExponent,
-    NotCoprime,
     NotPrime,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "is_valid_endo",
     "is_automorphism",
     "apply",
-    "scale",
     "fixed_point_count",
     "reidemeister_number",
     "elements",
@@ -193,13 +190,6 @@ def apply(em: EndoMatrix, x: tuple[int, ...]) -> tuple[int, ...]:
         sum(a * b for a, b in zip(em.m.row(i), x)) % m
         for i, m in enumerate(g.moduli)
     )
-
-
-def scale(em: EndoMatrix, i: int) -> EndoMatrix:
-    """Compose with multiplication by i; i must be coprime to p."""
-    if gcd(i, em.group.p) != 1:
-        raise NotCoprime(f"{i} is not coprime to {em.group.p}")
-    return EndoMatrix(em.group, em.m.map_entries(lambda v: i * v))
 
 
 def fixed_point_count(em: EndoMatrix) -> Factored:

@@ -8,8 +8,9 @@ parameter vector: the last coordinate varies fastest, as in
 and twisted classes are counted at the element level, independently of
 the lattice-index shortcut they validate.
 
-Caps on enumeration sizes live in ``EnumBudget``; sweeps over whole
-families of groups are driven by the ``iter_types`` helpers.
+The sweeps' cap on endomorphisms per cell lives in ``EnumBudget``, the
+element loops' cap on the group order in ``MAX_GROUP_ORDER``; sweeps
+over whole families of groups are driven by the ``iter_types`` helpers.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .spectra import Spectrum
 __all__ = [
     "EnumBudget",
     "DEFAULT_BUDGET",
+    "MAX_GROUP_ORDER",
     "canonical_parameters",
     "endomorphism_count",
     "brute_fixed_points",
@@ -39,17 +41,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnumBudget:
-    """Caps for exhaustive enumeration."""
+    """Cap on the endomorphisms of one cell for exhaustive enumeration."""
 
     max_endos: int = 2**20
-    max_group_order: int = 2**14
 
     def __post_init__(self) -> None:
-        if self.max_endos < 1 or self.max_group_order < 1:
+        if self.max_endos < 1:
             raise ValueError("budget caps must be positive")
 
 
 DEFAULT_BUDGET = EnumBudget()
+MAX_GROUP_ORDER = 2**14  # elements per group for the element loops
 
 
 def canonical_parameters(g: PGroupType) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -87,19 +89,17 @@ def _check_endo_budget(g: PGroupType, budget: EnumBudget) -> int:
     return count
 
 
-def _check_order_budget(g: PGroupType, budget: EnumBudget) -> int:
+def _check_order(g: PGroupType) -> int:
     order = g.order
-    if order > budget.max_group_order:
-        raise BudgetExceeded(
-            f"group order {order} exceeds the cap {budget.max_group_order}"
-        )
+    if order > MAX_GROUP_ORDER:
+        raise BudgetExceeded(f"group order {order} exceeds the cap {MAX_GROUP_ORDER}")
     return order
 
 
-def brute_fixed_points(em: EndoMatrix, budget: EnumBudget = DEFAULT_BUDGET) -> int:
+def brute_fixed_points(em: EndoMatrix) -> int:
     """Count fixed points by applying the map to every group element."""
     g = em.group
-    _check_order_budget(g, budget)
+    _check_order(g)
     rows = [(em.m.row(i), m) for i, m in enumerate(g.moduli)]
     return sum(
         1
@@ -108,11 +108,11 @@ def brute_fixed_points(em: EndoMatrix, budget: EnumBudget = DEFAULT_BUDGET) -> i
     )
 
 
-def twisted_class_count(em: EndoMatrix, budget: EnumBudget = DEFAULT_BUDGET) -> int:
+def twisted_class_count(em: EndoMatrix) -> int:
     """Count twisted conjugacy classes as |P| / |im(Id - phi)|, with the
     image collected by applying x -> x - phi(x) to every element."""
     g = em.group
-    order = _check_order_budget(g, budget)
+    order = _check_order(g)
     # row i of Id - M: x - phi(x) is one matrix-vector product
     rows = [
         (tuple(int(i == j) - a for j, a in enumerate(em.m.row(i))), m)

@@ -1,10 +1,13 @@
 """Reference implementations used only by the tests: the per-object
-enumeration of canonical endomorphisms, the integer matrix product, and
-the gcd-keyed Smith elimination that ``_sweep._fix_exponents`` replaced."""
+enumeration of canonical endomorphisms, the integer matrix product, the
+Smith normal form that ``core.lattice_index`` replaced, the scaling map
+k*phi that ``spectra.product_number`` builds directly, and the gcd-keyed
+Smith elimination that ``_sweep._fix_exponents`` replaced."""
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 from typing import Iterator
 
 import numpy as np
@@ -12,7 +15,7 @@ import numpy as np
 from reidemeister import _sweep
 from reidemeister.core import IntMatrix
 from reidemeister.endo import EndoMatrix, PGroupType, is_automorphism
-from reidemeister.errors import DimensionMismatch
+from reidemeister.errors import DimensionMismatch, NotCoprime
 from reidemeister.oracle import DEFAULT_BUDGET, EnumBudget, _check_endo_budget, canonical_parameters
 
 
@@ -48,6 +51,94 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
         for j in range(b.cols):
             out.append(sum(ri[k] * b[k, j] for k in range(a.cols)))
     return IntMatrix(a.rows, b.cols, tuple(out))
+
+
+def smith_invariants(m: IntMatrix) -> list[int]:
+    """Diagonal of the Smith normal form: non-negative, each dividing the
+    next, zeros last; the list has min(rows, cols) entries.
+
+    Pivots are chosen by smallest non-zero absolute value, ties broken by
+    lowest row then lowest column index, so runs are reproducible.
+    """
+    rows, cols = m.rows, m.cols
+    size = min(rows, cols)
+    a = m.to_rows()
+    invariants: list[int] = []
+
+    for k in range(size):
+        pivot = _find_pivot(a, k, rows, cols)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+        if pj != k:
+            for r in a:
+                r[k], r[pj] = r[pj], r[k]
+        while True:
+            if a[k][k] < 0:
+                a[k] = [-v for v in a[k]]
+            # clear below, then to the right of the pivot
+            dirty = False
+            for i in range(k + 1, rows):
+                if a[i][k]:
+                    q = a[i][k] // a[k][k]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+                    if a[i][k]:
+                        dirty = True
+            for j in range(k + 1, cols):
+                if a[k][j]:
+                    q = a[k][j] // a[k][k]
+                    if q:
+                        for i in range(rows):
+                            a[i][j] -= q * a[i][k]
+                    if a[k][j]:
+                        dirty = True
+            if dirty:
+                pi, pj = _find_pivot(a, k, rows, cols)  # type: ignore[misc]
+                if pi != k:
+                    a[k], a[pi] = a[pi], a[k]
+                if pj != k:
+                    for r in a:
+                        r[k], r[pj] = r[pj], r[k]
+                continue
+            # pivot must divide the remaining submatrix for the chain property
+            offender = None
+            for i in range(k + 1, rows):
+                for j in range(k + 1, cols):
+                    if a[i][j] % a[k][k]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[offender])]
+        invariants.append(a[k][k])
+
+    invariants.extend(0 for _ in range(size - len(invariants)))
+    return invariants
+
+
+def _find_pivot(a: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, int] | None:
+    best = None
+    best_abs = None
+    for i in range(k, rows):
+        row = a[i]
+        for j in range(k, cols):
+            v = row[j]
+            if v and (best_abs is None or abs(v) < best_abs):
+                best = (i, j)
+                best_abs = abs(v)
+    return best
+
+
+def scale(em: EndoMatrix, i: int) -> EndoMatrix:
+    """Compose with multiplication by i; i must be coprime to p."""
+    if gcd(i, em.group.p) != 1:
+        raise NotCoprime(f"{i} is not coprime to {em.group.p}")
+    return EndoMatrix(em.group, em.m.map_entries(lambda v: i * v))
 
 
 def gcd_fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray:

@@ -17,7 +17,6 @@ from reidemeister import (
     IntMatrix,
     PGroupType,
     abc_decompose,
-    d_sequence,
     endomorphism_count,
     fixed_point_count,
     is_automorphism,
@@ -62,7 +61,6 @@ def test_criterion_1_worked_example():
 
     start = time.perf_counter()
     dec = abc_decompose(g)
-    depths = d_sequence(dec)
     elapsed = time.perf_counter() - start
 
     failures = []
@@ -79,8 +77,8 @@ def test_criterion_1_worked_example():
         failures.append(("blocks", dec.blocks))
     if (dec.a, dec.b, dec.c) != (2, 3, 2):
         failures.append(("counts", (dec.a, dec.b, dec.c)))
-    if depths != (0, 0, 1, 1, 1, 1, 2, 2, 3, 4, 5, 5):
-        failures.append(("d", depths))
+    if dec.d != (0, 0, 1, 1, 1, 1, 2, 2, 3, 4, 5, 5):
+        failures.append(("d", dec.d))
     _finish(1, "worked example blocks and depth vector", failures, elapsed, limit=0.001)
 
 

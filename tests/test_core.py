@@ -14,11 +14,10 @@ from reidemeister import (
     format_matrix,
     lattice_index,
     parse_matrix,
-    smith_invariants,
 )
 from reidemeister.core import PRIMALITY_LIMIT, factorize, is_prime
 
-from reference import matmul
+from reference import matmul, smith_invariants
 
 
 # -- independent oracles -----------------------------------------------------

@@ -13,7 +13,6 @@ from reidemeister import (
     abc_decompose,
     block_notation,
     column_structure_check,
-    d_sequence,
     is_automorphism,
     is_characteristic,
     is_valid_endo,
@@ -35,7 +34,6 @@ def test_worked_example_blocks():
     assert [blk.kind for blk in dec.blocks] == ["a", "b", "a", "b", "c", "c", "b"]
     assert (dec.a, dec.b, dec.c) == (2, 3, 2)
     assert dec.d == (0, 0, 1, 1, 1, 1, 2, 2, 3, 4, 5, 5)
-    assert d_sequence(dec) == dec.d
 
 
 def test_single_exponent_is_c_block():

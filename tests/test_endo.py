@@ -21,12 +21,11 @@ from reidemeister import (
     is_valid_endo,
     parse_matrix,
     reidemeister_number,
-    scale,
     validate_type,
 )
 from reidemeister.endo import format_type_spec, parse_type_spec
 
-from reference import enumerate_endomorphisms, matmul
+from reference import enumerate_endomorphisms, matmul, scale
 
 
 def brute_fix(em):

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
@@ -26,7 +27,6 @@ from reidemeister import (
     oracle_spectrum,
     parse_matrix,
     reidemeister_number,
-    scale,
     spec_p,
     spec_r_2group,
     spec_r_abelian,
@@ -34,11 +34,16 @@ from reidemeister import (
     twisted_class_count,
 )
 from reidemeister.decomposition import abc_decompose
-from reidemeister.oracle import DEFAULT_BUDGET, _hillar_rhea_aut_count, canonical_parameters
+from reidemeister.oracle import (
+    DEFAULT_BUDGET,
+    MAX_GROUP_ORDER,
+    _hillar_rhea_aut_count,
+    canonical_parameters,
+)
 from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
 from reidemeister import _sweep, endo
 
-from reference import enumerate_automorphisms, enumerate_endomorphisms, gcd_fix_exponents
+from reference import enumerate_automorphisms, enumerate_endomorphisms, gcd_fix_exponents, scale
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -76,7 +81,7 @@ def test_decode_matches_enumeration_order(g):
     # the numpy decoder and the per-object reference define one order
     total = endomorphism_count(g)
     mats = _sweep._decode(np.arange(total, dtype=np.int64), *canonical_parameters(g), g.n)
-    decoded = [tuple(int(v) for v in mat.ravel()) for mat in mats]
+    decoded = [tuple(int(v) for v in mats[:, :, b].ravel()) for b in range(total)]
     assert decoded == [em.m.entries for em in enumerate_endomorphisms(g)]
 
 
@@ -92,13 +97,38 @@ def test_trivial_group_enumeration():
 
 
 def test_budget_blocks_enumeration():
-    tiny = EnumBudget(max_endos=10, max_group_order=4)
+    tiny = EnumBudget(max_endos=10)
     with pytest.raises(BudgetExceeded):
         list(enumerate_endomorphisms(PGroupType(2, (2, 3)), tiny))
     with pytest.raises(BudgetExceeded):
-        brute_fixed_points(EndoMatrix.identity(PGroupType(2, (3,))), tiny)
+        brute_fixed_points(EndoMatrix.identity(PGroupType(2, (15,))))
     with pytest.raises(BudgetExceeded):
-        twisted_class_count(EndoMatrix.identity(PGroupType(2, (3,))), tiny)
+        twisted_class_count(EndoMatrix.identity(PGroupType(2, (15,))))
+
+
+def test_group_order_cap_at_its_edge(monkeypatch):
+    # the element loops take order MAX_GROUP_ORDER = 2^14 and refuse 2^15;
+    # triple_check refuses before its walk, which the stub stands in for
+    assert [f.name for f in dataclasses.fields(EnumBudget)] == ["max_endos"]
+
+    class Walked(Exception):
+        pass
+
+    def walk(*args):
+        raise Walked
+
+    monkeypatch.setattr(_sweep, "_walk", walk)
+    edge, over = PGroupType(2, (14,)), PGroupType(2, (15,))
+    assert edge.order == MAX_GROUP_ORDER
+    identity = EndoMatrix.identity(edge)
+    assert brute_fixed_points(identity) == twisted_class_count(identity) == 2**14
+    with pytest.raises(Walked):
+        _sweep.triple_check.__wrapped__(edge, DEFAULT_BUDGET)
+    for count in (brute_fixed_points, twisted_class_count):
+        with pytest.raises(BudgetExceeded, match="group order 32768 exceeds the cap 16384"):
+            count(EndoMatrix.identity(over))
+    with pytest.raises(BudgetExceeded, match="group order 32768 exceeds the cap 16384"):
+        _sweep.triple_check.__wrapped__(over, DEFAULT_BUDGET)
 
 
 def test_enum_budget_validation():
@@ -151,10 +181,10 @@ def test_element_loops_match_meshgrid(g):
 def _assert_element_counts(g, mats, dtype):
     # the kernel on the whole (n, n, B) stack and on uneven thirds of it
     # (B need not be a power of p), against _meshgrid_counts per matrix
-    expected = [_meshgrid_counts(_sweep._to_endo(g, mat)) for mat in mats]
+    expected = [_meshgrid_counts(_sweep._to_endo(g, mats[:, :, b])) for b in range(mats.shape[2])]
     got = []
-    for part in [mats, *np.array_split(mats, 3)]:
-        fixed, image = _sweep._element_counts(part.transpose(1, 2, 0), g)
+    for part in [mats, *np.array_split(mats, 3, axis=2)]:
+        fixed, image = _sweep._element_counts(part, g)
         assert fixed.dtype == image.dtype == dtype
         got.append(list(zip(fixed.tolist(), image.tolist())))
     assert got[0] == got[1] + got[2] + got[3] == expected
@@ -183,7 +213,7 @@ def test_element_counts_at_the_largest_exponents(e, dtype):
     # of every x_j a_ij keeps the sums in range; at 2^32 the products need int64
     g = PGroupType(2, (e,))
     top = 2**e
-    mats = np.array([top - 1, top // 2 + 1, top // 2, 5, 3, 2, 1, 0]).reshape(-1, 1, 1)
+    mats = np.array([top - 1, top // 2 + 1, top // 2, 5, 3, 2, 1, 0]).reshape(1, 1, -1)
     _assert_element_counts(g, mats, dtype)
 
 
@@ -451,14 +481,14 @@ def test_walk_is_carry_free(g, cap):
     cycle = min(step * g.p, total)
     chunks, start = [], 0
     for mats, positions in _sweep._walk(g, total, _sweep.SWEEP_SAMPLES, cap):
-        stop = start + len(mats)
-        assert len(mats) == min(width, cycle - start % cycle)
+        stop = start + mats.shape[2]
+        assert mats.shape[2] == min(width, cycle - start % cycle)
         assert positions.tolist() == [v - start for v in samples if start <= v < stop]
         chunks.append(mats)
         start = stop
     assert start == total
     expected = _sweep._decode(np.arange(total, dtype=np.int64), *canonical_parameters(g), g.n)
-    assert np.array_equal(np.concatenate(chunks), expected)
+    assert np.array_equal(np.concatenate(chunks, axis=2), expected)
 
 
 def test_samples_survive_chunk_boundaries(monkeypatch):
@@ -479,16 +509,16 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
     ]
     chunks = []
 
-    def counting(walk, axis):
+    def counting(walk):
         def counted(*args):
             for item in walk(*args):
-                chunks.append(item[0].shape[axis])  # (B, n, n) or (n, n, B) rows
+                chunks.append(item[0].shape[2])
                 yield item
 
         return counted
 
-    monkeypatch.setattr(_sweep, "_walk", counting(_sweep._walk, 0))
-    monkeypatch.setattr(_sweep, "_automorphisms", counting(_sweep._automorphisms, 2))
+    monkeypatch.setattr(_sweep, "_walk", counting(_sweep._walk))
+    monkeypatch.setattr(_sweep, "_automorphisms", counting(_sweep._automorphisms))
     for g, sweep_chunks, triple_chunks in cases:
         total = endomorphism_count(g)
         chunks.clear()
@@ -512,7 +542,7 @@ def test_sample_reanchoring_runs_the_whole_reference_route(monkeypatch):
     total = endomorphism_count(g)
     indices = _sweep._sample_indices(total, _sweep.SWEEP_SAMPLES)
     mats = _sweep._decode(indices, *canonical_parameters(g), g.n)
-    autos = sum(is_automorphism(_sweep._to_endo(g, mat)) for mat in mats)
+    autos = sum(is_automorphism(_sweep._to_endo(g, mats[:, :, b])) for b in range(len(indices)))
     assert len(indices) == _sweep.SWEEP_SAMPLES and 0 < autos < len(indices)
 
     calls = Counter()
@@ -546,7 +576,7 @@ def test_sample_reanchoring_runs_the_whole_reference_route(monkeypatch):
 
 
 def _multiset(mats):
-    return Counter(tuple(m.reshape(-1).tolist()) for m in mats)
+    return Counter(tuple(mats[:, :, b].reshape(-1).tolist()) for b in range(mats.shape[2]))
 
 
 @pytest.mark.parametrize(
@@ -570,16 +600,15 @@ def test_automorphism_walk_is_the_filtered_endomorphisms(g, cap):
     total = endomorphism_count(g)
     expected = Counter()
     for mats, _ in _sweep._walk(g, total, 1, 8192):
-        expected += _multiset(mats[_sweep._invertible_mod_p(mats.transpose(1, 2, 0), g.e, g.p)])
-    stacks = [rows for rows, _ in _sweep._automorphisms(g, cap)]
-    assert all(r.flags.c_contiguous and r.shape[:2] == (g.n, g.n) for r in stacks)
-    chunks = [r.transpose(2, 0, 1) for r in stacks]
+        expected += _multiset(mats[:, :, _sweep._invertible_mod_p(mats, g.e, g.p)])
+    chunks = [rows for rows, _ in _sweep._automorphisms(g, cap)]
+    assert all(r.flags.c_contiguous and r.shape[:2] == (g.n, g.n) for r in chunks)
     assert len(chunks) > 1 or g.n == 0
-    assert all(0 < len(mats) <= cap and mats.dtype == np.int32 for mats in chunks)
-    walked = np.concatenate(chunks)
+    assert all(0 < mats.shape[2] <= cap and mats.dtype == np.int32 for mats in chunks)
+    walked = np.concatenate(chunks, axis=2)
     assert _multiset(walked) == expected
-    assert len(walked) == _hillar_rhea_aut_count(g)
-    assert all(is_automorphism(_sweep._to_endo(g, mat)) for mat in walked)
+    assert walked.shape[2] == _hillar_rhea_aut_count(g)
+    assert all(is_automorphism(_sweep._to_endo(g, walked[:, :, b])) for b in range(walked.shape[2]))
 
 
 def test_automorphism_walk_batches_primes_past_the_cap():
@@ -590,7 +619,7 @@ def test_automorphism_walk_batches_primes_past_the_cap():
     g = PGroupType(8209, (1,))
     lengths = [rows.shape[2] for rows, _ in _sweep._automorphisms(g, 8192)]
     assert lengths == [8191, 17]
-    lengths = [len(mats) for mats, _ in _sweep._walk(g, g.p, 1, 63)]
+    lengths = [mats.shape[2] for mats, _ in _sweep._walk(g, g.p, 1, 63)]
     assert lengths == [63] * 130 + [19]
 
 
@@ -694,16 +723,15 @@ def test_run_block_invertibility_matches_full_determinant(g, monkeypatch):
     total = endomorphism_count(g)
     blocks, full, structure, structure_full = [], [], [], []
     for mats, positions in _sweep._walk(g, total, 2**14, 8192):
-        stack = mats.transpose(1, 2, 0)
-        amask = _sweep._invertible_mod_p(stack, g.e, g.p)
+        amask = _sweep._invertible_mod_p(mats, g.e, g.p)
         blocks.append(amask)
-        full.append(_full_det_invertible(stack, g.e, g.p))
+        full.append(_full_det_invertible(mats, g.e, g.p))
         for pos in positions:
-            assert bool(amask[pos]) == is_automorphism(_sweep._to_endo(g, mats[pos]))
-        structure.append(_sweep._structure_ok(stack, g))
+            assert bool(amask[pos]) == is_automorphism(_sweep._to_endo(g, mats[:, :, pos]))
+        structure.append(_sweep._structure_ok(mats, g))
         with monkeypatch.context() as m:
             m.setattr(_sweep, "_invertible_mod_p", _full_det_invertible)
-            structure_full.append(_sweep._structure_ok(stack, g))
+            structure_full.append(_sweep._structure_ok(mats, g))
     assert np.array_equal(np.concatenate(blocks), np.concatenate(full))
     structure = np.concatenate(structure)
     assert np.array_equal(structure, np.concatenate(structure_full))
@@ -712,12 +740,13 @@ def test_run_block_invertibility_matches_full_determinant(g, monkeypatch):
 
 def test_triple_check_past_float64_bound_is_over_budget(monkeypatch):
     # n * p^{2E} >= 2^53, so at least 2^50 endomorphism x element pairs:
-    # over budget before _walk, whose _chunks would list 2^27 chunk starts
-    huge = EnumBudget(max_endos=2**70, max_group_order=2**70)
+    # the order cap refuses them before _walk, whose _chunks would list
+    # 2^27 chunk starts
+    huge = EnumBudget(max_endos=2**70)
     monkeypatch.setattr(_sweep, "_walk", None)
     for g in [PGroupType(2, (27,)), PGroupType(2, (1, 26))]:
         assert _sweep.batchable(g)
-        with pytest.raises(BudgetExceeded, match="2\\^50 endomorphism x element pairs"):
+        with pytest.raises(BudgetExceeded, match="group order 134217728 exceeds the cap 16384"):
             _sweep.triple_check(g, huge)
 
 
@@ -744,7 +773,7 @@ def test_product_bound_covers_the_packed_pivot_keys():
 
 
 def test_unbatchable_cell_is_over_budget():
-    huge = EnumBudget(max_endos=2**70, max_group_order=2**70)
+    huge = EnumBudget(max_endos=2**70)
     for g in [PGroupType(2, (1, 31)), PGroupType(2, (9,) * 5)]:
         with pytest.raises(BudgetExceeded):
             _sweep.sweep_cell(g, huge)
@@ -781,9 +810,9 @@ def test_fix_exponents_matches_fixed_point_count(g):
     idx = np.concatenate([idx, np.random.default_rng(7).integers(0, total, 60)])
     mats = _sweep._decode(idx, *canonical_parameters(g), g.n).astype(_sweep._stack_dtype(g))
     for k in range(1, g.p):
-        batched = _sweep._fix_exponents(mats.transpose(1, 2, 0), g, k)
-        for mat, exp in zip(mats, batched):
-            em = scale(_sweep._to_endo(g, mat), k)
+        batched = _sweep._fix_exponents(mats, g, k)
+        for b, exp in enumerate(batched):
+            em = scale(_sweep._to_endo(g, mats[:, :, b]), k)
             assert fixed_point_count(em).nu(g.p) == exp
 
 
@@ -985,11 +1014,10 @@ def test_stages_are_exact_on_both_sides_of_the_int32_rule(g, dtype):
     rows = []
     for mats, positions in _sweep._walk(g, total, 160, 8192):
         assert mats.dtype == dtype
-        rows.append(mats[positions])
-    mats = np.concatenate(rows)
-    assert len(mats) == 160
-    ems = [_sweep._to_endo(g, mat) for mat in mats]
-    stack = mats.transpose(1, 2, 0)
+        rows.append(mats[:, :, positions])
+    stack = np.concatenate(rows, axis=2)
+    assert stack.shape[2] == 160
+    ems = [_sweep._to_endo(g, stack[:, :, b]) for b in range(160)]
     amask = _sweep._invertible_mod_p(stack, g.e, g.p)
     assert amask.tolist() == [is_automorphism(em) for em in ems]
     assert amask.any() and not amask.all()
@@ -1041,7 +1069,7 @@ def test_stages_refuse_a_batch_first_stack():
     assert _sweep._fix_exponents(identity.transpose(1, 2, 0), g, 1).tolist() == [6]
 
 
-RAISED_BUDGET = EnumBudget(max_endos=2**25, max_group_order=2**14)
+RAISED_BUDGET = EnumBudget(max_endos=2**25)
 P7_CELLS = [PGroupType(7, e) for e in [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]]
 
 

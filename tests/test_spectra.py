@@ -22,7 +22,6 @@ from reidemeister import (
     parse_matrix,
     product_number,
     reidemeister_number,
-    scale,
     spec_p,
     spec_r_2group,
     spec_r_abelian,
@@ -32,7 +31,7 @@ from reidemeister import (
 )
 from reidemeister.spectra import is_irreducible
 
-from reference import enumerate_automorphisms
+from reference import enumerate_automorphisms, scale
 
 
 def brute_pi(em):
