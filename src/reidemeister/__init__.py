@@ -1,10 +1,11 @@
 """Twisted conjugacy counts and Reidemeister spectra of finite abelian groups.
 
 The library models endomorphisms of finite abelian p-groups as integer
-matrices, counts their fixed points exactly through Smith-form lattice
-indices, evaluates the closed-form spectra, constructs witness
-automorphisms for every spectrum value, and verifies the closed forms
-against brute-force enumeration oracles.
+matrices, counts their fixed points exactly through lattice indices (a
+column triangularization per object, a valuation-pivot Smith elimination
+in the batched sweeps), evaluates the closed-form spectra, constructs
+witness automorphisms for every spectrum value, and verifies the closed
+forms against brute-force enumeration oracles.
 """
 
 from .core import (

@@ -176,8 +176,6 @@ class EndoMatrix:
 
 def is_automorphism(em: EndoMatrix) -> bool:
     """True iff the matrix is invertible mod p (0x0 matrices are)."""
-    if em.group.n == 0:
-        return True
     return _det_mod_p(em.m, em.group.p) != 0
 
 

@@ -1,12 +1,13 @@
 """Reference implementations used only by the tests: the per-object
 enumeration of canonical endomorphisms, the integer matrix product, the
 Smith normal form that ``core.lattice_index`` replaced, the scaling map
-k*phi that ``spectra.product_number`` builds directly, and the gcd-keyed
-Smith elimination that ``_sweep._fix_exponents`` replaced."""
+k*phi that ``spectra.product_number`` builds directly, the gcd-keyed
+Smith elimination that ``_sweep._fix_exponents`` replaced, and the
+Leibniz sum that ``_sweep._batch_det`` replaced."""
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 from typing import Iterator
 
@@ -185,3 +186,17 @@ def gcd_fix_exponents(mats: np.ndarray, g: PGroupType, multiplier) -> np.ndarray
     for v in range(1, top_exp + 1):
         exps += (pivots >= p**v).sum(axis=0)
     return exps - sum(top_exp - v for v in g.e)
+
+
+def leibniz_det(mats: np.ndarray) -> np.ndarray:
+    """Exact int64 determinants of an (n, n, B) integer stack as the sum of
+    the n! Leibniz terms sign(s) * mats[0, s(0)] * ... * mats[n - 1, s(n - 1)],
+    the sign -1 to the number of inversions of s."""
+    n = len(mats)
+    det = np.zeros(mats.shape[2], dtype=np.int64)
+    for s in permutations(range(n)):
+        term = np.full_like(det, (-1) ** sum(s[i] > s[j] for i in range(n) for j in range(i + 1, n)))
+        for i in range(n):
+            term *= mats[i, s[i]]
+        det += term
+    return det

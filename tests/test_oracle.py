@@ -43,7 +43,13 @@ from reidemeister.oracle import (
 from reidemeister.spectra import AbelianGroupType, Spectrum, product_number
 from reidemeister import _sweep, endo
 
-from reference import enumerate_automorphisms, enumerate_endomorphisms, gcd_fix_exponents, scale
+from reference import (
+    enumerate_automorphisms,
+    enumerate_endomorphisms,
+    gcd_fix_exponents,
+    leibniz_det,
+    scale,
+)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -331,8 +337,8 @@ def _gl_counts(p, m):
     # (|GL_m(F_p)|, g_m(0)): every m x m matrix mod p, counted when it is
     # invertible, and when both M and M - I are
     mats = np.array(list(product(range(p), repeat=m * m)), dtype=np.int64).reshape(-1, m, m)
-    unit = _sweep._batch_det(mats.transpose(1, 2, 0)) % p != 0
-    free = _sweep._batch_det((mats - np.eye(m, dtype=np.int64)).transpose(1, 2, 0)) % p != 0
+    unit = leibniz_det(mats.transpose(1, 2, 0)) % p != 0
+    free = leibniz_det((mats - np.eye(m, dtype=np.int64)).transpose(1, 2, 0)) % p != 0
     return int(unit.sum()), int((unit & free).sum())
 
 
@@ -701,7 +707,7 @@ def test_live_multipliers_need_at_most_n_eliminations_per_automorphism(monkeypat
 def _full_det_invertible(mats, exps, p):
     # reference: the n x n determinant mod p of an (n, n, B) stack,
     # ignoring the block structure
-    return _sweep._batch_det(mats % p) % p != 0
+    return leibniz_det(mats % p) % p != 0
 
 
 @pytest.mark.parametrize(
@@ -1031,8 +1037,8 @@ def test_stages_are_exact_on_both_sides_of_the_int32_rule(g, dtype):
 
 
 def test_block_determinants_accumulate_in_int64():
-    # p = 2053: p^2 < 2^31 gives int32 stacks, but a Leibniz product of
-    # three residues reaches (p - 1)^3 > 2^32
+    # p = 2053: p^2 < 2^31 gives int32 stacks, but a product of three
+    # residues reaches (p - 1)^3 > 2^32
     g = PGroupType(2053, (1, 1, 1))
     mats = np.random.default_rng(11).integers(0, g.p, (64, 3, 3)).astype(np.int32)
     mats[0] = g.p - 1
@@ -1043,11 +1049,29 @@ def test_block_determinants_accumulate_in_int64():
 
 
 def test_batch_det_refuses_a_batch_first_stack():
-    # a (B, n, n) stack read as batch-last would ask for B! Leibniz terms
+    # read as batch-last, a (B, n, n) stack with B < n gives determinants
+    # of the wrong entries, a wrong answer, and one with B > n an IndexError;
+    # the guard names the layout in both cases
     with pytest.raises(InvariantViolation, match="n, n, B"):
         _sweep._batch_det(np.zeros((5, 3, 3), dtype=np.int64))
     with pytest.raises(InvariantViolation):
         _sweep._batch_det(np.zeros((3, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=["int32", "int64"])
+@pytest.mark.parametrize(
+    "p, n", [(p, n) for p in (2, 3, 5) for n in range(1, 8)] + [(2053, n) for n in range(1, 5)]
+)
+def test_batch_det_equals_the_leibniz_sum(p, n, dtype):
+    # residue stacks led by the all-(p - 1) matrix and (p - 1) I, whose
+    # determinant (p - 1)^n passes 2^31 from n = 3 at p = 2053
+    mats = np.random.default_rng(n * p).integers(0, p, (n, n, 64)).astype(dtype)
+    mats[:, :, 0] = p - 1
+    mats[:, :, 1] = np.eye(n, dtype=dtype) * (p - 1)
+    det = _sweep._batch_det(mats)
+    assert det.dtype == np.int64
+    assert det.tolist() == leibniz_det(mats).tolist()
+    assert det[1] == (p - 1) ** n
 
 
 def test_stages_refuse_a_batch_first_stack():

@@ -33,3 +33,18 @@ def test_cli_main_handles_only_the_base_error_and_exception():
         for handler in node.handlers
     ]
     assert handled == ["ReidemeisterError", "Exception"]
+
+
+def test_benchmark_sweep_stages_name_functions_of_the_sweep():
+    # perfbench traces the sweep's stages by name: a renamed stage would
+    # silently read 0 in every benchmark run instead of failing
+    spans = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    stages = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SWEEP_STAGES"
+    )
+    tree = ast.parse((SRC / "_sweep.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert stages and all(name.startswith("sweep.") for name in stages)
+    assert {name.removeprefix("sweep.") for name in stages} <= defined
