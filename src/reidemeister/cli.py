@@ -16,6 +16,7 @@ Codes 2-5 and 7 are the ``exit_code`` of the error class raised.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -166,18 +167,7 @@ def cmd_pi_spectrum(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     g = _parse_ptype(args.group, default_p=2)
     dec = abc_decompose(g)
-    payload = {
-        "e": list(g.e),
-        "blocks": [
-            {"kind": blk.kind, "start": blk.start, "values": list(blk.values)}
-            for blk in dec.blocks
-        ],
-        "a": dec.a,
-        "b": dec.b,
-        "c": dec.c,
-        "d": list(dec.d),
-        "sigma": g.total_exponent,
-    }
+    payload = {**dataclasses.asdict(dec), "sigma": g.total_exponent}
     d_text = ",".join(str(v) for v in dec.d)
     text = (
         f"{block_notation(dec)} a={dec.a} b={dec.b} c={dec.c} "

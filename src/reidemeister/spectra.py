@@ -10,8 +10,11 @@ Both facts are instances of one statement about the product number
 Pi(phi) = prod over units i mod p of |Fix(mul_i . phi)|, whose spectrum
 over automorphisms is exactly {p^m : b + c <= m <= S}.  For every
 admissible m this module builds an explicit block-diagonal automorphism
-realizing p^m, assembled from cyclic maps 1 -> p^t + 1, the pair matrix
-[[1, 1], [p, 1]], and companion matrices of irreducible polynomials.
+realizing p^m: a sum of cyclic units 1 -> p^t + 1 and 2x2 pair units
+(the pair matrix [[1, 1], [p, 1]], diag(p^s + 1, p^{t-s} + 1), or the
+companion of the least irreducible quadratic), whose exponents t are
+filled greedily left to right; an a-block of width w that carries 0 is
+the companion of the least irreducible of degree w.
 
 Spectra of general finite abelian groups are product sets over the
 Sylow components: all divisors d of |A| whose 2-adic valuation is at
@@ -292,48 +295,44 @@ def companion_matrix(f: Sequence[int]) -> IntMatrix:
 # -- witness construction --------------------------------------------------
 
 
-def _cyclic_witness(p: int, t: int) -> IntMatrix:
-    # 1 -> p^t + 1; a unit multiplier mod p whenever t >= 1 or p is odd
-    return IntMatrix(1, 1, (p**t + 1,))
+def _fill(total: int, floors: Sequence[int], caps: Sequence[int]) -> list[int]:
+    """Raise each floor toward its cap, left to right, until the sum is total."""
+    extra = total - sum(floors)
+    if not 0 <= extra <= sum(caps) - sum(floors):
+        raise InvariantViolation(f"{total} does not fit between floors {floors} and caps {caps}")
+    out = []
+    for lo, cap in zip(floors, caps):
+        take = min(extra, cap - lo)
+        out.append(lo + take)
+        extra -= take
+    return out
 
 
-def _pair_matrix(p: int) -> IntMatrix:
-    return IntMatrix.from_rows([[1, 1], [p, 1]])
-
-
-def _two_cyclic(p: int, s1: int, s2: int) -> IntMatrix:
-    return IntMatrix.diagonal((p**s1 + 1, p**s2 + 1))
-
-
-def _b_block_witness(p: int, blk: Block, t: int) -> IntMatrix:
-    v = blk.values[0]
+def _pair_unit(p: int, t: int, inner: int) -> IntMatrix:
+    # 2x2 unit with product-number exponent t; in the diagonal case the
+    # second exponent t - s stays at most inner (a b-block's upper value,
+    # an a-block's k)
+    if t == 0:
+        return companion_matrix(find_irreducible(p, 2))
     if t == 1:
-        return _pair_matrix(p)
-    s1 = max(1, t - (v + 1))
-    return _two_cyclic(p, s1, t - s1)
+        return IntMatrix.from_rows([[1, 1], [p, 1]])
+    s = max(1, t - inner)
+    return IntMatrix.diagonal((p**s + 1, p ** (t - s) + 1))
 
 
-def _a_block_witness(p: int, blk: Block, t: int) -> IntMatrix:
-    k = blk.values[0]
-    width = blk.length
+def _block_witness(p: int, blk: Block, t: int) -> IntMatrix:
+    k, width = blk.values[0], blk.length
+    if blk.kind == "c":  # 1 -> p^t + 1, a unit since c-blocks carry t >= 1
+        return IntMatrix.diagonal((p**t + 1,))
+    if blk.kind == "b":
+        return _pair_unit(p, t, k + 1)
     if t == 0:
         return companion_matrix(find_irreducible(p, width))
-    parts = []
-    remaining = t
-    if width % 2 == 1:
-        s0 = min(remaining, k)
-        parts.append(_cyclic_witness(p, s0))
-        remaining -= s0
-    for _ in range(width // 2):
-        tp = min(remaining, 2 * k)
-        remaining -= tp
-        if tp == 0:
-            parts.append(companion_matrix(find_irreducible(p, 2)))
-        elif tp == 1:
-            parts.append(_pair_matrix(p))
-        else:
-            s1 = max(1, tp - k)
-            parts.append(_two_cyclic(p, s1, tp - s1))
+    odd = width % 2  # one leading cyclic unit of cap k, then pairs of cap 2k
+    units = _fill(t, [0] * (odd + width // 2), [k] * odd + [2 * k] * (width // 2))
+    parts = [_pair_unit(p, tp, k) for tp in units[odd:]]
+    if odd:
+        parts.insert(0, IntMatrix.diagonal((p ** units[0] + 1,)))
     return IntMatrix.block_diagonal(parts)
 
 
@@ -352,26 +351,9 @@ def witness(g: PGroupType, m: int) -> EndoMatrix:
         raise OutOfSpectrum(
             f"exponent {m} outside [{lo}, {hi}] for type {g}"
         )
-    minimums = [0 if blk.kind == "a" else 1 for blk in dec.blocks]
-    capacities = [sum(blk.values) for blk in dec.blocks]
-    targets = list(minimums)
-    extra = m - sum(minimums)
-    for idx in range(len(targets)):
-        take = min(extra, capacities[idx] - targets[idx])
-        targets[idx] += take
-        extra -= take
-    if extra:
-        raise InvariantViolation(f"exponent {m} left {extra} undistributed over the blocks")
-
-    p = g.p
-    parts = []
-    for blk, t in zip(dec.blocks, targets):
-        if blk.kind == "c":
-            parts.append(_cyclic_witness(p, t))
-        elif blk.kind == "b":
-            parts.append(_b_block_witness(p, blk, t))
-        else:
-            parts.append(_a_block_witness(p, blk, t))
+    floors = [0 if blk.kind == "a" else 1 for blk in dec.blocks]
+    targets = _fill(m, floors, [sum(blk.values) for blk in dec.blocks])
+    parts = [_block_witness(g.p, blk, t) for blk, t in zip(dec.blocks, targets)]
     return EndoMatrix(g, IntMatrix.block_diagonal(parts))
 
 
@@ -382,29 +364,16 @@ def _witness_r_odd(g: PGroupType, m: int) -> EndoMatrix:
         raise OutOfSpectrum(
             f"exponent {m} outside [0, {g.total_exponent}] for type {g}"
         )
-    p = g.p
-    remaining = m
-    diag = []
-    for ei in g.e:
-        s = min(remaining, ei)
-        remaining -= s
-        diag.append(p**s + 1)
-    return EndoMatrix(g, IntMatrix.diagonal(diag))
+    return EndoMatrix(g, IntMatrix.diagonal(g.p**s + 1 for s in _fill(m, [0] * g.n, g.e)))
 
 
 def witness_abelian(a: AbelianGroupType, target: Factored) -> dict[int, EndoMatrix]:
     """Per-prime automorphisms whose twisted class counts multiply to the
-    target; keys are the primes dividing |A|."""
+    target; keys are the primes dividing |A|.  A valuation outside a
+    Sylow component's range raises OutOfSpectrum from its witness."""
     sylow = a.sylow()
-    for q, k in target.factorization.items():
-        if q not in sylow or k > sylow[q].total_exponent:
-            raise OutOfSpectrum(f"{target} does not divide the group order")
-    if 2 in sylow:
-        floor = abc_decompose(sylow[2]).floor_exponent
-        if target.nu(2) < floor:
-            raise OutOfSpectrum(
-                f"2-adic valuation of {target} is below the floor {floor}"
-            )
+    if any(q not in sylow for q in target.factorization):
+        raise OutOfSpectrum(f"{target} does not divide the group order")
     out: dict[int, EndoMatrix] = {}
     for p, g in sylow.items():
         m = target.nu(p)

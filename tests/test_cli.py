@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -425,6 +426,18 @@ def test_atlas_witnesses_validate(tmp_path, capsys):
                 assert is_automorphism(em)
                 combined *= reidemeister_number(em).to_int()
             assert combined == int(decimal)
+
+
+# sha256 of `atlas --max-order 100 --witnesses` when the witness
+# construction was first pinned; the file must stay byte-identical
+ATLAS_100_SHA256 = "47b0713c715d59257d62f4df508f5c8f0a316d939578030644dea530e6400ff5"
+
+
+def test_atlas_100_witnesses_digest(tmp_path, capsys):
+    out_path = tmp_path / "atlas100.json"
+    code, _, _ = run(capsys, "atlas", "--max-order", "100", "--witnesses", "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == ATLAS_100_SHA256
 
 
 def test_atlas_unwritable(capsys):

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import reidemeister
@@ -48,3 +50,17 @@ def test_benchmark_sweep_stages_name_functions_of_the_sweep():
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert stages and all(name.startswith("sweep.") for name in stages)
     assert {name.removeprefix("sweep.") for name in stages} <= defined
+
+
+def test_unregistered_marker_fails_collection(tmp_path):
+    # a misspelt `@pytest.mark.slow` would put a long cell into tier-1
+    test = tmp_path / "test_marker.py"
+    test.write_text("import pytest\n\n\n@pytest.mark.slw\ndef test_x():\n    pass\n")
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(config), "--rootdir", str(tmp_path), str(test)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "'slw' not found in `markers`" in proc.stdout

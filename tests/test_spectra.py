@@ -8,6 +8,7 @@ from reidemeister import (
     EndoMatrix,
     Factored,
     IntMatrix,
+    InvariantViolation,
     NotAutomorphism,
     OutOfSpectrum,
     PGroupType,
@@ -29,7 +30,7 @@ from reidemeister import (
     witness,
     witness_abelian,
 )
-from reidemeister.spectra import is_irreducible
+from reidemeister.spectra import _fill, is_irreducible
 
 from reference import enumerate_automorphisms, scale
 
@@ -377,3 +378,14 @@ def test_witness_abelian_out_of_spectrum():
         witness_abelian(group, Factored.from_int(8))  # does not divide 12
     with pytest.raises(OutOfSpectrum):
         witness_abelian(group, Factored.from_int(5))  # foreign prime
+    with pytest.raises(OutOfSpectrum):
+        witness_abelian(group, Factored.from_int(18))  # nu_3 = 2 > S = 1
+
+
+def test_fill_left_to_right():
+    assert _fill(5, [0, 1, 0], [2, 2, 9]) == [2, 2, 1]
+    assert _fill(0, [], []) == []
+    with pytest.raises(InvariantViolation):
+        _fill(7, [0, 1], [2, 4])  # the caps take at most 6
+    with pytest.raises(InvariantViolation):
+        _fill(0, [0, 1], [2, 4])  # the floors already sum to 1
