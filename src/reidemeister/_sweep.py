@@ -5,9 +5,10 @@ build one EndoMatrix at a time.  Both walks decode parameter indices in
 numpy chunks that ``_chunks`` alone sizes (the trivial group is n = 0):
 ``triple_check`` walks every endomorphism (``_walk``) and counts its
 fixed points three ways, ``sweep_cell`` only the automorphisms.  Every
-stack is batch-last, (n, n, B), from ``_decode`` on: the stages and the
-element kernel run along contiguous rows of B entries, and the
-per-object loops read matrix b as [:, :, b].
+stack is batch-last, (n, n, B), from ``_decode`` on: the stages run along
+contiguous rows of B entries, and the per-object loops read matrix b as
+[:, :, b].  The element kernel turns a chunk into one (B, |A|) table of
+codes, a row of |A| elements per matrix.
 
 p | M_ij when e_i > e_j, so mod p a canonical matrix M is block upper
 triangular over the runs of equal exponents (Hillar and Rhea, Amer.
@@ -26,8 +27,9 @@ Hillar-Rhea count.
 All arithmetic stays exact: ``_product_bound`` bounds every intermediate
 of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
 every reduction is ``_reduce`` (a mask at powers of two), the element
-kernel sums integer terms over the coordinate grid, in int32 while they
-stay below 2^31 (``_element_counts``), the elimination keys pivots by
+kernel adds one base per block of |A| matrices to a cached slice of
+last-row codes, in int32 while they stay below 2^31
+(``_element_counts``), the elimination keys pivots by
 valuation, divides only exactly (by shifts, or by inverses mod 2^w) and
 reads its last two valuations from a 2x2 determinant below p^{2E}, and
 cells past the int64 bounds of ``batchable`` raise BudgetExceeded
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 from typing import Iterator
 
 import numpy as np
@@ -451,13 +453,15 @@ def _chunks(
 def _walk(
     g: PGroupType, total: int, quota: int, cap: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Decode all ``total`` canonical endomorphisms of g in index order, in
-    the chunks of at most ``cap`` rows that ``_chunks`` cuts.  Yields
-    (mats, positions): the (n, n, B) chunk at ``_stack_dtype`` and the
-    matrices of it that ``_sample_indices(total, quota)`` selects."""
+    """Decode all ``total`` canonical endomorphisms of g in the chunks of
+    at most ``cap`` rows that ``_chunks`` cuts, stably sorted by their
+    offsets start mod |A|, so that the chunks sharing a ``_last_row_slice``
+    come one after another.  Yields (mats, positions): the (n, n, B) chunk
+    at ``_stack_dtype`` and the matrices of it that
+    ``_sample_indices(total, quota)`` selects."""
     samples = _sample_indices(total, quota)
     inner, chunks = _chunks(g, *canonical_parameters(g), total, cap)
-    for start, length, shift in chunks:
+    for start, length, shift in sorted(chunks, key=lambda chunk: chunk[0] % g.order):
         lo, hi = np.searchsorted(samples, (start, start + length))
         yield inner[:, :, :length] + shift, samples[lo:hi] - start
 
@@ -597,39 +601,83 @@ def _reference_structure_ok(em: EndoMatrix, dec) -> bool:
     return is_automorphism(restricted) and all(r.ok for r in _column_reports(restricted, dec))
 
 
+def _coordinate_codes(a_i: np.ndarray, g: PGroupType, i: int) -> np.ndarray:
+    """((sum_j a_ij x_j) mod m_i) * w_i over the elements x of g, w the place
+    values, as a (K, |A|) array for an (n, K) array a_i of the rows i of K
+    matrices a = Id - M: the term x_j a_ij mod m_i broadcasts along grid
+    axis j, and one reduction finishes the sum.  Exact in the dtype of a_i
+    while p^{2E} + p^E (``_reduce`` of x_j a_ij) fits it."""
+    n, m = g.n, g.moduli[i]
+    codes = np.zeros((a_i.shape[1],) + (1,) * n, dtype=a_i.dtype)
+    for j, mj in enumerate(g.moduli):
+        term = _reduce(a_i[j][:, None] * np.arange(mj, dtype=a_i.dtype), m)
+        codes = codes + term.reshape((-1,) + (1,) * j + (mj,) + (1,) * (n - 1 - j))
+    _reduce(codes, m, out=codes)
+    codes *= int(_weights(g.moduli)[i])
+    return codes.reshape(len(codes), -1)
+
+
+@lru_cache(maxsize=1)
+def _last_row_slice(g: PGroupType, first: int, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(last, codes) for the last-row parameter indices first .. first +
+    rows - 1 < |A|: their (n, rows) last rows, and row k of the (rows, |A|)
+    codes is the last coordinate of code(x - phi(x)) (place value 1) plus
+    the lane offset k * |A|.  One slice is cached, as the walk visits the
+    chunks that share it one after another."""
+    n, indices = g.n, np.arange(first, first + rows, dtype=np.int64)
+    last = _decode(indices, *canonical_parameters(g), n)[n - 1]
+    a_last = np.eye(n, dtype=np.int64)[n - 1, :, None] - last
+    codes = _coordinate_codes(a_last.astype(dtype), g, n - 1)
+    codes += np.arange(rows, dtype=dtype)[:, None] * g.order
+    last.flags.writeable = codes.flags.writeable = False
+    return last, codes
+
+
 def _element_counts(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.ndarray]:
-    """(fixed, image_sizes) per matrix of an (n, n, B) stack: the elements x
-    of g with x - phi(x) = 0, and the distinct x - phi(x).  For coordinate i
-    the terms (x_j a_ij mod m_i) * w_i * B, a = Id - M, w the place values
-    and x_j on grid axis j, add by broadcasting into an (order, B) grid with
-    the batch axis last, and one reduction mod m_i w_i B finishes the sum,
-    as (a mod m) w = a w mod m w; the coordinates and the lanes b sum to
-    code(x - phi(x)) * B + b.  Exact in int32 while p^{2E} + p^E (``_reduce``
-    of x_j a_ij) and n * order * B are below 2^31, in int64 otherwise."""
+    """(fixed, image_sizes) per matrix of an (n, n, B) stack of canonical
+    matrices with consecutive indices: the elements x of g with x - phi(x)
+    = 0, and the distinct x - phi(x).  The last row takes prod_j
+    p^{min(e_n, e_j)} = |A| values, the index mod |A|, and rows 0 .. n - 2
+    are constant over each block of |A| indices.  So in each run of whole
+    blocks, or of a part of one, the code of x - phi(x) plus the lane
+    b * |A| of matrix b is base[block] + slice[row]: ``_last_row_slice``
+    gives the last coordinate and the lanes, ``_coordinate_codes`` of the
+    block's first matrix the others.  Other stacks raise.  The fixed points
+    are the codes equal to their lane, the image the distinct codes,
+    scattered into one (B, |A|) bool table.  Exact in int32 while p^{2E} +
+    p^E and |A| * B are below 2^31, in int64 otherwise."""
     n, order, batch, largest = g.n, g.order, _batch(mats, g.n), g.p ** max(g.e, default=0)
-    small = largest * (largest + 1) < 2**31 and n * order * batch < 2**31
+    small = largest * (largest + 1) < 2**31 and order * batch < 2**31
     dtype = np.int32 if small else np.int64
-    a = np.subtract(np.eye(n, dtype=dtype)[:, :, None], mats, dtype=dtype)
-    codes = lanes = np.arange(batch, dtype=dtype)
-    # one allocation for both grids: glibc returned two separate ones to the
-    # system after every chunk and page-faulted them in again
-    grids = np.empty((2, *g.moduli, batch), dtype=dtype)
-    for i, (m, w) in enumerate(zip(g.moduli, _weights(g.moduli).tolist())):
-        # the terms are multiples of w * B, so a lane b < w * B survives the reduction
-        grid, out = lanes if i == 0 else 0, grids[min(i, 1)]
-        for j, mj in enumerate(g.moduli):
-            term = _reduce(np.arange(mj, dtype=dtype)[:, None] * a[i, j], m)
-            term *= w * batch
-            term = term.reshape((1,) * j + (mj,) + (1,) * (n - 1 - j) + (batch,))
-            grid = np.add(grid, term, out=out if j == n - 1 else None)
-        _reduce(grid, m * w * batch, out=grid)
-        codes = np.add(codes, grid, out=codes) if i else grid
-    seen, flat = np.zeros(order * batch, dtype=bool), codes.reshape(-1)
-    for k in range(0, flat.size, 1 << 15):  # numpy indexes by intp: cast cache-sized blocks
-        seen[flat[k : k + (1 << 15)].astype(np.intp)] = True
-    # the counts are at most order; sums into int32 run faster than into int64
-    fixed = (codes.reshape(order, batch) == lanes).sum(axis=0, dtype=dtype)
-    return fixed, seen.reshape(order, batch).sum(axis=0, dtype=dtype)
+    fixed, image = np.ones((2, batch), dtype=dtype)  # the trivial group: one element, fixed
+    if n == 0:
+        return fixed, image
+    strides, counts = canonical_parameters(g)
+    first = int(mats[n - 1, :, 0] // strides[-n:] @ _weights(counts[-n:]))
+    # the rest of the first matrix's block, whole blocks, a part of the last one
+    head = min(batch, -first % order)
+    tail = (batch - head) % order
+    for lo, hi in pairwise(sorted({0, head, batch - tail, batch})):
+        rows = min(hi - lo, order)
+        last, codes = _last_row_slice(g, first if lo == 0 else 0, rows, dtype)
+        run = mats[:, :, lo:hi].reshape(n, n, -1, rows)
+        rest = run[: n - 1]
+        if not ((run[n - 1] == last[:, None]).all() and (rest == rest[..., :1]).all()):
+            raise InvariantViolation(
+                "the element kernel takes a run of consecutive canonical matrices"
+            )
+        heads = np.subtract(np.eye(n, dtype=dtype)[:, :, None], mats[:, :, lo:hi:rows], dtype=dtype)
+        base = sum(_coordinate_codes(heads[i], g, i) for i in range(n - 1))
+        base = base + np.arange(run.shape[2], dtype=dtype)[:, None] * (rows * order)
+        index = (base[:, None, :] + codes).reshape(hi - lo, order)
+        lanes = np.arange(hi - lo, dtype=dtype)[:, None] * order
+        fixed[lo:hi] = (index == lanes).sum(axis=1, dtype=dtype)
+        seen, flat = np.zeros(index.size, dtype=bool), index.reshape(-1)
+        for k in range(0, flat.size, 1 << 15):  # numpy indexes by intp: cast cache-sized blocks
+            seen[flat[k : k + (1 << 15)].astype(np.intp)] = True
+        # the counts are at most order; sums into int32 run faster than into int64
+        image[lo:hi] = seen.reshape(hi - lo, order).sum(axis=1, dtype=dtype)
+    return fixed, image
 
 
 @lru_cache(maxsize=64)
@@ -640,8 +688,9 @@ def triple_check(g: PGroupType, budget) -> TripleReport:
     order = _check_order(g)
     mismatches, samples_checked, samples_ok = 0, 0, True
 
-    # the element kernel is memory-bound: n * order * B <= 2^19 keeps each
-    # of its int32 (order, B) arrays within 2 MiB / n, near L2-cache size
+    # the element kernel is memory-bound: n * order * B <= 2^19 keeps its
+    # int32 (B, order) table and last-row slice within 2 MiB / n each, near
+    # L2-cache size
     chunk = max(1, min(1 << 13, (1 << 19) // max(1, order * g.n)))
     for mats, positions in _walk(g, total, TRIPLE_SAMPLES, chunk):
         brute, image_sizes = _element_counts(mats, g)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby, permutations, product
@@ -184,16 +185,27 @@ def test_element_loops_match_meshgrid(g):
         assert fixed * image == g.order
 
 
-def _assert_element_counts(g, mats, dtype):
-    # the kernel on the whole (n, n, B) stack and on uneven thirds of it
-    # (B need not be a power of p), against _meshgrid_counts per matrix
-    expected = [_meshgrid_counts(_sweep._to_endo(g, mats[:, :, b])) for b in range(mats.shape[2])]
-    got = []
-    for part in [mats, *np.array_split(mats, 3, axis=2)]:
-        fixed, image = _sweep._element_counts(part, g)
+def _assert_element_counts(g, ranges, dtype):
+    # the kernel on each contiguous index range [lo, hi) of the cell,
+    # against _meshgrid_counts per matrix
+    params, expected = canonical_parameters(g), {}
+    for lo, hi in ranges:
+        mats = _sweep._decode(np.arange(lo, hi, dtype=np.int64), *params, g.n)
+        fixed, image = _sweep._element_counts(mats, g)
         assert fixed.dtype == image.dtype == dtype
-        got.append(list(zip(fixed.tolist(), image.tolist())))
-    assert got[0] == got[1] + got[2] + got[3] == expected
+        for b, index in enumerate(range(lo, hi)):
+            if index not in expected:
+                expected[index] = _meshgrid_counts(_sweep._to_endo(g, mats[:, :, b]))
+        assert list(zip(fixed.tolist(), image.tolist())) == [expected[t] for t in range(lo, hi)]
+
+
+def _kernel_ranges(lo, hi, order):
+    # [lo, hi), its uneven thirds, and three runs that start mid-block:
+    # one inside a block, one across a block boundary, one over three blocks
+    edge = lo - lo % order + order  # the first block boundary after lo
+    thirds = [(part[0], part[-1] + 1) for part in np.array_split(np.arange(lo, hi), 3) if part.size]
+    runs = [(lo + 1, min(edge, hi)), (edge - 1, edge + 2), (lo + 1, edge + 2 * order + 1)]
+    return [(lo, hi), *thirds, *((a, b) for a, b in runs if lo <= a < b <= hi)]
 
 
 @pytest.mark.parametrize(
@@ -205,22 +217,72 @@ def _assert_element_counts(g, mats, dtype):
     ids=str,
 )
 def test_element_counts_match_meshgrid(g):
-    # every endomorphism of the cell, or an even spread of 512 of the 3^9
-    # and 5^9 of the n = 3 cells at odd p
-    total = endomorphism_count(g)
-    indices = _sweep._sample_indices(total, 1024 if g.p == 2 else 512)
-    mats = _sweep._decode(indices, *canonical_parameters(g), g.n)
-    _assert_element_counts(g, mats, np.int32)
+    # the whole cell, or 512 consecutive matrices of the 5^4, 3^9 and 5^9
+    # of the larger cells at odd p, from the middle of their second block
+    # of |A|; then the walk's chunks of fewer than |A| rows, which visit
+    # the blocks offset by offset and reuse each offset's last-row slice
+    total, order = endomorphism_count(g), g.order
+    size = min(total, 1024 if g.p == 2 else 512)
+    lo = 0 if size == total else order + order // 2
+    assert lo + size <= total
+    _assert_element_counts(g, _kernel_ranges(lo, lo + size, order), np.int32)
+    if size == total:
+        for mats, _ in _sweep._walk(g, total, 1, max(1, order // 3)):
+            fixed, image = _sweep._element_counts(mats, g)
+            endos = [_sweep._to_endo(g, mats[:, :, b]) for b in range(mats.shape[2])]
+            expected = [_meshgrid_counts(em) for em in endos]
+            assert list(zip(fixed.tolist(), image.tolist())) == expected
 
 
 @pytest.mark.parametrize("e, dtype", [(15, np.int32), (16, np.int64)], ids=["int32", "int64"])
 def test_element_counts_at_the_largest_exponents(e, dtype):
     # p^{2E} = 2^30 is the last int32 cell at n = 1, where only the reduction
-    # of every x_j a_ij keeps the sums in range; at 2^32 the products need int64
+    # of every x_j a_ij keeps the sums in range; at 2^32 the products need
+    # int64.  At n = 1 matrix t is [t]; the runs from the start, the middle
+    # and the end of the cell's one block hold 0, 1, 2, 3, 5, 2^(e-1),
+    # 2^(e-1) + 1 and 2^e - 1
     g = PGroupType(2, (e,))
     top = 2**e
-    mats = np.array([top - 1, top // 2 + 1, top // 2, 5, 3, 2, 1, 0]).reshape(1, 1, -1)
-    _assert_element_counts(g, mats, dtype)
+    _assert_element_counts(g, [(0, 6), (top // 2 - 1, top // 2 + 2), (top - 2, top)], dtype)
+
+
+def test_element_counts_refuse_a_stack_that_is_not_a_run():
+    # rows 0 .. n - 2 must stay constant within a block of |A| matrices
+    # and the last rows must follow the index order; the sampled stacks
+    # of older tests, or a changed first row, would get another matrix's
+    # counts without the check
+    g = PGroupType(2, (1, 2))
+    params = canonical_parameters(g)
+    run = _sweep._decode(np.arange(6, 12, dtype=np.int64), *params, g.n)
+    assert _sweep._element_counts(run, g)[0].tolist() == [
+        _meshgrid_counts(_sweep._to_endo(g, run[:, :, b]))[0] for b in range(6)
+    ]
+    varied = run.copy()
+    varied[0, 0, 1] += 1
+    spread = _sweep._decode(np.array([0, 1, 9]), *params, g.n)
+    for mats in (varied, spread):
+        with pytest.raises(InvariantViolation, match="consecutive canonical matrices"):
+            _sweep._element_counts(mats, g)
+
+
+def test_triple_check_holds_one_last_row_slice():
+    # p=2 e=1,11: |A| = 4096 and chunks of 2^19 // (4096 * 2) = 64 rows, so
+    # a table of every last row would take 4096^2 int32 = 64 MiB.  The
+    # walk visits the 64 offsets one by one, each in the 4 blocks of the
+    # cell's 2^14 matrices, and builds each 64-row slice once
+    g = PGroupType(2, (1, 11))
+    full_table = 4 * g.order**2
+    _sweep._last_row_slice.cache_clear()
+    tracemalloc.start()
+    try:
+        rep = _sweep.triple_check.__wrapped__(g, DEFAULT_BUDGET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.mismatches == 0 and rep.samples_ok
+    assert peak <= full_table // 4
+    info = _sweep._last_row_slice.cache_info()
+    assert (info.misses, info.hits) == (64, 3 * 64)
 
 
 def test_triple_agreement_exhaustive_small():
@@ -477,24 +539,33 @@ def test_trivial_cell_reports(p):
 )
 @pytest.mark.parametrize("cap", [10, 8192])
 def test_walk_is_carry_free(g, cap):
-    # each chunk is the first one plus its decoded start; concatenated,
-    # the chunks must be the plain decode of every index.  A chunk is
-    # a * p^K <= cap rows (a < p), or the rest of its p^(K+1) cycle
+    # each chunk is the first one plus its decoded start, and must be the
+    # plain decode of its index range; the ranges cover every index once.
+    # A chunk is a * p^K <= cap rows (a < p), or the rest of its p^(K+1)
+    # cycle.  Chunks shorter than |A| come offset by offset (start mod
+    # |A|), so only the multiset of their lengths is fixed
     total = endomorphism_count(g)
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     samples = _sweep._sample_indices(total, _sweep.SWEEP_SAMPLES)
     step = max(g.p**k for k in range(64) if g.p**k <= min(cap, total))
     width = min(cap, total) // step * step
     cycle = min(step * g.p, total)
-    chunks, start = [], 0
+    lengths, start = [], 0
+    while start < total:
+        lengths.append(min(width, cycle - start % cycle))
+        start += lengths[-1]
+    visits = np.zeros(total, dtype=np.int64)
+    walked = []
     for mats, positions in _sweep._walk(g, total, _sweep.SWEEP_SAMPLES, cap):
+        start = int(_sweep._weights(counts) @ (mats[:, :, 0].reshape(-1) // strides))
         stop = start + mats.shape[2]
-        assert mats.shape[2] == min(width, cycle - start % cycle)
+        expected = _sweep._decode(np.arange(start, stop, dtype=np.int64), strides, counts, g.n)
+        assert np.array_equal(mats, expected)
         assert positions.tolist() == [v - start for v in samples if start <= v < stop]
-        chunks.append(mats)
-        start = stop
-    assert start == total
-    expected = _sweep._decode(np.arange(total, dtype=np.int64), *canonical_parameters(g), g.n)
-    assert np.array_equal(np.concatenate(chunks, axis=2), expected)
+        visits[start:stop] += 1
+        walked.append(mats.shape[2])
+    assert (visits == 1).all()
+    assert sorted(walked) == sorted(lengths)
 
 
 def test_samples_survive_chunk_boundaries(monkeypatch):
@@ -508,10 +579,15 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
     # sweep chunk.  p=3 e=1,1,2: 3^10 endomorphisms of a group of order
     # 81, so under the cap 2^19 // 243 = 2157, chunks of 2 * 3^6 = 1458
     # and the 729 left of each 3^7 cycle, 27 cycles; 96 patterns
-    # (GL_2(F_3) x GL_1(F_3)) times 3^5 free values, 33 to a sweep chunk
+    # (GL_2(F_3) x GL_1(F_3)) times 3^5 free values, 33 to a sweep chunk.
+    # p=2 e=1,9: 2^12 endomorphisms of a group of order 1024, 16 triple
+    # chunks of 2^19 // 2048 = 256 rows, which the walk visits offset by
+    # offset (start mod 1024), not in index order; one pattern times
+    # 2^10 free values in one sweep chunk
     cases = [
         (PGroupType(2, (1, 1, 1, 2)), [64 * 128] * 2 + [40 * 128], [4096] * 32),
         (PGroupType(3, (1, 1, 2)), [33 * 243] * 2 + [30 * 243], [1458, 729] * 27),
+        (PGroupType(2, (1, 9)), [1024], [256] * 16),
     ]
     chunks = []
 
@@ -535,7 +611,7 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
         assert rep.samples_ok
         chunks.clear()
         rep = _sweep.triple_check.__wrapped__(g, DEFAULT_BUDGET)
-        assert chunks == triple_chunks
+        assert sorted(chunks) == sorted(triple_chunks)
         assert rep.samples_checked == len(_sweep._sample_indices(total, _sweep.TRIPLE_SAMPLES))
         assert rep.samples_ok and rep.mismatches == 0
 

@@ -38,18 +38,25 @@ def test_cli_main_handles_only_the_base_error_and_exception():
 
 
 def test_benchmark_sweep_stages_name_functions_of_the_sweep():
-    # perfbench traces the sweep's stages by name: a renamed stage would
-    # silently read 0 in every benchmark run instead of failing
+    # perfbench traces the sweep's functions by name: a renamed one would
+    # silently read 0 in every benchmark run instead of failing.  Every
+    # SWEEP_STAGES name and every reidemeister._sweep entry of TRACED must
+    # name a top-level function of _sweep
     spans = Path(__file__).parents[1] / "perfbench" / "spans.py"
-    stages = next(
-        ast.literal_eval(node.value)
+    assigned = {
+        ast.unparse(node.targets[0]): node.value
         for node in ast.parse(spans.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SWEEP_STAGES"
-    )
+        if isinstance(node, ast.Assign)
+    }
+    stages = ast.literal_eval(assigned["SWEEP_STAGES"])
+    traced = [
+        fn for module, fn in ast.literal_eval(assigned["TRACED"]) if module == "reidemeister._sweep"
+    ]
     tree = ast.parse((SRC / "_sweep.py").read_text(encoding="utf-8"))
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert stages and all(name.startswith("sweep.") for name in stages)
     assert {name.removeprefix("sweep.") for name in stages} <= defined
+    assert "triple_check" in traced and set(traced) <= defined
 
 
 def test_unregistered_marker_fails_collection(tmp_path):
