@@ -34,9 +34,9 @@ valuation, divides only exactly (by shifts, or by inverses mod 2^w) and
 reads its last two valuations from a 2x2 determinant below p^{2E}, and
 cells past the int64 bounds of ``batchable`` raise BudgetExceeded
 like cells over the enumeration budget.  A deterministic sample of every
-cell, automorphisms or not, is re-checked through the plain per-object
-APIs, so the batched results stay anchored to the reference
-implementations.
+cell, automorphisms or not, is re-checked one matrix at a time, through
+the per-object lattice route and, in ``triple_check``, the element-level
+numpy counts of ``oracle``, which share no code with the kernel.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ representative per endomorphism, in lexicographic order of the row-major
 parameter vector: the last coordinate varies fastest, as in
 ``elements``.  The sweeps of ``_sweep`` walk it in that order.  Fixed points
 and twisted classes are counted at the element level, independently of
-the lattice-index shortcut they validate.
+the lattice route and the sweep kernel they validate, by one int64 numpy
+product with the (n, |A|) grid of every element: entries and coordinates
+are below |A| <= 2^14 and n <= 14, so every sum is below 14 * 2^28 < 2^32.
 
 The sweeps' cap on endomorphisms per cell lives in ``EnumBudget``, the
-element loops' cap on the group order in ``MAX_GROUP_ORDER``; sweeps
+element counts' cap on the group order in ``MAX_GROUP_ORDER``; sweeps
 over whole families of groups are driven by the ``iter_types`` helpers.
 """
 
@@ -17,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterator
 
 from .core import Factored
-from .endo import EndoMatrix, PGroupType, elements
+from .endo import EndoMatrix, PGroupType
 from .errors import BudgetExceeded, InvariantViolation
 from .spectra import Spectrum
 
@@ -51,7 +52,7 @@ class EnumBudget:
 
 
 DEFAULT_BUDGET = EnumBudget()
-MAX_GROUP_ORDER = 2**14  # elements per group for the element loops
+MAX_GROUP_ORDER = 2**14  # elements per group for the element counts
 
 
 def canonical_parameters(g: PGroupType) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -96,32 +97,34 @@ def _check_order(g: PGroupType) -> int:
     return order
 
 
-def brute_fixed_points(em: EndoMatrix) -> int:
-    """Count fixed points by applying the map to every group element."""
+def _element_images(em: EndoMatrix):
+    """The (n, |A|) int64 grid x of every element and phi(x) per column."""
+    import numpy as np  # so that ``import reidemeister`` stays numpy-free
     g = em.group
-    _check_order(g)
-    rows = [(em.m.row(i), m) for i, m in enumerate(g.moduli)]
-    return sum(
-        1
-        for x in elements(g)
-        if all(sum(map(mul, row, x)) % m == xi for (row, m), xi in zip(rows, x))
-    )
+    x = np.indices(g.moduli, dtype=np.int64).reshape(g.n, g.order)
+    m = np.array(em.m.entries, dtype=np.int64).reshape(g.n, g.n)
+    return x, (m @ x) % np.array(g.moduli, dtype=np.int64).reshape(g.n, 1)
+
+
+def brute_fixed_points(em: EndoMatrix) -> int:
+    """Count fixed points: grid columns x with phi(x) = x (int64 sums < 2^32)."""
+    _check_order(em.group)
+    x, y = _element_images(em)
+    return int((y == x).all(axis=0).sum())
 
 
 def twisted_class_count(em: EndoMatrix) -> int:
-    """Count twisted conjugacy classes as |P| / |im(Id - phi)|, with the
-    image collected by applying x -> x - phi(x) to every element."""
-    g = em.group
-    order = _check_order(g)
-    # row i of Id - M: x - phi(x) is one matrix-vector product
-    rows = [
-        (tuple(int(i == j) - a for j, a in enumerate(em.m.row(i))), m)
-        for i, m in enumerate(g.moduli)
-    ]
-    image = {tuple(sum(map(mul, row, x)) % m for row, m in rows) for x in elements(g)}
-    if order % len(image):
+    """Count twisted conjugacy classes as |P| / |im(Id - phi)|, the image the
+    distinct mixed-radix codes of x - phi(x) on the grid (int64 sums < 2^32)."""
+    import numpy as np
+    order = _check_order(em.group)
+    x, y = _element_images(em)
+    # sorted, as np.unique hashes (10x slower); axis=None: n = 0 gives a scalar
+    codes = np.sort(np.ravel_multi_index(x - y, em.group.moduli, mode="wrap"), axis=None)
+    image = int(np.count_nonzero(np.diff(codes, prepend=-1)))
+    if order % image:
         raise InvariantViolation("image size must divide the group order")
-    return order // len(image)
+    return order // image
 
 
 def oracle_spectrum(

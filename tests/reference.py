@@ -2,22 +2,31 @@
 enumeration of canonical endomorphisms, the integer matrix product, the
 Smith normal form that ``core.lattice_index`` replaced, the scaling map
 k*phi that ``spectra.product_number`` builds directly, the gcd-keyed
-Smith elimination that ``_sweep._fix_exponents`` replaced, and the
-Leibniz sum that ``_sweep._batch_det`` replaced."""
+Smith elimination that ``_sweep._fix_exponents`` replaced, the
+Leibniz sum that ``_sweep._batch_det`` replaced, and the pure-Python
+element loops that the numpy grid of ``oracle.brute_fixed_points`` and
+``oracle.twisted_class_count`` replaced."""
 
 from __future__ import annotations
 
 from itertools import permutations, product
 from math import gcd
+from operator import mul
 from typing import Iterator
 
 import numpy as np
 
 from reidemeister import _sweep
 from reidemeister.core import IntMatrix
-from reidemeister.endo import EndoMatrix, PGroupType, is_automorphism
-from reidemeister.errors import DimensionMismatch, NotCoprime
-from reidemeister.oracle import DEFAULT_BUDGET, EnumBudget, _check_endo_budget, canonical_parameters
+from reidemeister.endo import EndoMatrix, PGroupType, elements, is_automorphism
+from reidemeister.errors import DimensionMismatch, InvariantViolation, NotCoprime
+from reidemeister.oracle import (
+    DEFAULT_BUDGET,
+    EnumBudget,
+    _check_endo_budget,
+    _check_order,
+    canonical_parameters,
+)
 
 
 def enumerate_endomorphisms(
@@ -200,3 +209,31 @@ def leibniz_det(mats: np.ndarray) -> np.ndarray:
             term *= mats[i, s[i]]
         det += term
     return det
+
+
+def loop_fixed_points(em: EndoMatrix) -> int:
+    """Count fixed points by applying the map to every group element."""
+    g = em.group
+    _check_order(g)
+    rows = [(em.m.row(i), m) for i, m in enumerate(g.moduli)]
+    return sum(
+        1
+        for x in elements(g)
+        if all(sum(map(mul, row, x)) % m == xi for (row, m), xi in zip(rows, x))
+    )
+
+
+def loop_twisted_class_count(em: EndoMatrix) -> int:
+    """Count twisted conjugacy classes as |P| / |im(Id - phi)|, with the
+    image collected by applying x -> x - phi(x) to every element."""
+    g = em.group
+    order = _check_order(g)
+    # row i of Id - M: x - phi(x) is one matrix-vector product
+    rows = [
+        (tuple(int(i == j) - a for j, a in enumerate(em.m.row(i))), m)
+        for i, m in enumerate(g.moduli)
+    ]
+    image = {tuple(sum(map(mul, row, x)) % m for row, m in rows) for x in elements(g)}
+    if order % len(image):
+        raise InvariantViolation("image size must divide the group order")
+    return order // len(image)

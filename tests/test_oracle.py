@@ -34,6 +34,7 @@ from reidemeister import (
     spec_r_odd_p,
     twisted_class_count,
 )
+from reidemeister.core import IntMatrix
 from reidemeister.decomposition import abc_decompose
 from reidemeister.oracle import (
     DEFAULT_BUDGET,
@@ -49,6 +50,8 @@ from reference import (
     enumerate_endomorphisms,
     gcd_fix_exponents,
     leibniz_det,
+    loop_fixed_points,
+    loop_twisted_class_count,
     scale,
 )
 
@@ -175,14 +178,35 @@ def _meshgrid_counts(em):
 
 
 @pytest.mark.parametrize(
-    "g", [PGroupType(2, (1, 2)), PGroupType(3, (1, 1)), PGroupType(2, (1, 1, 2))], ids=str
+    "g",
+    [PGroupType(2, (1, 2)), PGroupType(3, (1, 1)), PGroupType(2, (1, 1, 2)), PGroupType(2, ())],
+    ids=str,
 )
 def test_element_loops_match_meshgrid(g):
+    # the oracle's element grid, the pure-Python loops it replaced and the
+    # meshgrid counts that anchor the kernel, on every endomorphism
     for em in enumerate_endomorphisms(g):
         fixed, image = _meshgrid_counts(em)
-        assert brute_fixed_points(em) == fixed
-        assert twisted_class_count(em) == g.order // image
+        assert brute_fixed_points(em) == loop_fixed_points(em) == fixed
+        assert twisted_class_count(em) == loop_twisted_class_count(em) == g.order // image
         assert fixed * image == g.order
+
+
+@pytest.mark.parametrize(
+    "g",
+    [PGroupType(2, (14,)), PGroupType(2, (1,) * 14), PGroupType(3, (1,) * 8), PGroupType(127, (1, 1))],
+    ids=str,
+)
+def test_element_counts_match_the_loops_near_the_order_cap(g):
+    # three seeded random canonical endomorphisms of groups of order near
+    # MAX_GROUP_ORDER, n up to 14: the grid's int64 sums stay exact there
+    rng = np.random.default_rng(24)
+    strides, counts = canonical_parameters(g)
+    for _ in range(3):
+        entries = tuple(s * int(rng.integers(c)) for s, c in zip(strides, counts))
+        em = EndoMatrix(g, IntMatrix(g.n, g.n, entries))
+        assert brute_fixed_points(em) == loop_fixed_points(em)
+        assert twisted_class_count(em) == loop_twisted_class_count(em)
 
 
 def _assert_element_counts(g, ranges, dtype):
