@@ -28,7 +28,7 @@ All arithmetic stays exact: ``_product_bound`` bounds every intermediate
 of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
 every reduction is ``_reduce`` (a mask at powers of two), the element
 kernel adds one base per block of |A| matrices to a cached slice of
-last-row codes, in int32 while they stay below 2^31
+last-row codes, in int32 under the group order cap
 (``_element_counts``), the elimination keys pivots by
 valuation, divides only exactly (by shifts, or by inverses mod 2^w) and
 reads its last two valuations from a 2x2 determinant below p^{2E}, and
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, pairwise, product
+from itertools import combinations, product
 from typing import Iterator
 
 import numpy as np
@@ -618,17 +618,17 @@ def _coordinate_codes(a_i: np.ndarray, g: PGroupType, i: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _last_row_slice(g: PGroupType, first: int, rows: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+def _last_row_slice(g: PGroupType, first: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """(last, codes) for the last-row parameter indices first .. first +
     rows - 1 < |A|: their (n, rows) last rows, and row k of the (rows, |A|)
-    codes is the last coordinate of code(x - phi(x)) (place value 1) plus
-    the lane offset k * |A|.  One slice is cached, as the walk visits the
-    chunks that share it one after another."""
+    int32 codes is the last coordinate of code(x - phi(x)) (place value 1)
+    plus the lane offset k * |A|.  One slice is cached, as the walk visits
+    the chunks that share it one after another."""
     n, indices = g.n, np.arange(first, first + rows, dtype=np.int64)
     last = _decode(indices, *canonical_parameters(g), n)[n - 1]
     a_last = np.eye(n, dtype=np.int64)[n - 1, :, None] - last
-    codes = _coordinate_codes(a_last.astype(dtype), g, n - 1)
-    codes += np.arange(rows, dtype=dtype)[:, None] * g.order
+    codes = _coordinate_codes(a_last.astype(np.int32), g, n - 1)
+    codes += np.arange(rows, dtype=np.int32)[:, None] * g.order
     last.flags.writeable = codes.flags.writeable = False
     return last, codes
 
@@ -638,46 +638,44 @@ def _element_counts(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.nda
     matrices with consecutive indices: the elements x of g with x - phi(x)
     = 0, and the distinct x - phi(x).  The last row takes prod_j
     p^{min(e_n, e_j)} = |A| values, the index mod |A|, and rows 0 .. n - 2
-    are constant over each block of |A| indices.  So in each run of whole
-    blocks, or of a part of one, the code of x - phi(x) plus the lane
-    b * |A| of matrix b is base[block] + slice[row]: ``_last_row_slice``
-    gives the last coordinate and the lanes, ``_coordinate_codes`` of the
-    block's first matrix the others.  Other stacks raise.  The fixed points
-    are the codes equal to their lane, the image the distinct codes,
-    scattered into one (B, |A|) bool table.  Exact in int32 while p^{2E} +
-    p^E and |A| * B are below 2^31, in int64 otherwise."""
-    n, order, batch, largest = g.n, g.order, _batch(mats, g.n), g.p ** max(g.e, default=0)
-    small = largest * (largest + 1) < 2**31 and order * batch < 2**31
-    dtype = np.int32 if small else np.int64
-    fixed, image = np.ones((2, batch), dtype=dtype)  # the trivial group: one element, fixed
-    if n == 0:
-        return fixed, image
+    are constant over each block of |A| indices.  The stack is one run of
+    rows = min(B, |A|): whole blocks from a block boundary, or a part of
+    one block, as is every chunk of ``_walk`` (a * p^K rows inside a
+    p^{K+1} cycle, of a total that |A| divides); other stacks raise.  The
+    code of x - phi(x) plus the lane b * |A| of matrix b is base[block] +
+    slice[row]: ``_last_row_slice`` gives the last coordinate and the
+    lanes, ``_coordinate_codes`` of the block's first matrix the others.
+    The fixed points are the codes equal to their lane, the image the
+    distinct codes, scattered into one (B, |A|) bool table.  Exact in
+    int32: ``_check_order`` caps |A| at 2^14, so p^{2E} + p^E < 2^31, and
+    stacks of |A| * B >= 2^31 codes raise."""
+    n, batch = g.n, _batch(mats, g.n)
+    order = _check_order(g)
+    if n == 0:  # the trivial group: one element, fixed
+        return np.ones(batch, dtype=np.int32), np.ones(batch, dtype=np.int32)
     strides, counts = canonical_parameters(g)
     first = int(mats[n - 1, :, 0] // strides[-n:] @ _weights(counts[-n:]))
-    # the rest of the first matrix's block, whole blocks, a part of the last one
-    head = min(batch, -first % order)
-    tail = (batch - head) % order
-    for lo, hi in pairwise(sorted({0, head, batch - tail, batch})):
-        rows = min(hi - lo, order)
-        last, codes = _last_row_slice(g, first if lo == 0 else 0, rows, dtype)
-        run = mats[:, :, lo:hi].reshape(n, n, -1, rows)
-        rest = run[: n - 1]
-        if not ((run[n - 1] == last[:, None]).all() and (rest == rest[..., :1]).all()):
-            raise InvariantViolation(
-                "the element kernel takes a run of consecutive canonical matrices"
-            )
-        heads = np.subtract(np.eye(n, dtype=dtype)[:, :, None], mats[:, :, lo:hi:rows], dtype=dtype)
-        base = sum(_coordinate_codes(heads[i], g, i) for i in range(n - 1))
-        base = base + np.arange(run.shape[2], dtype=dtype)[:, None] * (rows * order)
-        index = (base[:, None, :] + codes).reshape(hi - lo, order)
-        lanes = np.arange(hi - lo, dtype=dtype)[:, None] * order
-        fixed[lo:hi] = (index == lanes).sum(axis=1, dtype=dtype)
-        seen, flat = np.zeros(index.size, dtype=bool), index.reshape(-1)
-        for k in range(0, flat.size, 1 << 15):  # numpy indexes by intp: cast cache-sized blocks
-            seen[flat[k : k + (1 << 15)].astype(np.intp)] = True
-        # the counts are at most order; sums into int32 run faster than into int64
-        image[lo:hi] = seen.reshape(hi - lo, order).sum(axis=1, dtype=dtype)
-    return fixed, image
+    rows = min(batch, order)
+    if batch % rows or first + rows > order or batch * order >= 2**31:
+        raise InvariantViolation(
+            "the element kernel takes whole blocks of |A| or a run inside one, below 2^31 codes"
+        )
+    last, codes = _last_row_slice(g, first, rows)
+    run = mats.reshape(n, n, -1, rows)
+    rest = run[: n - 1]
+    if not ((run[n - 1] == last[:, None]).all() and (rest == rest[..., :1]).all()):
+        raise InvariantViolation("the element kernel takes a run of consecutive canonical matrices")
+    heads = np.subtract(np.eye(n, dtype=np.int32)[:, :, None], mats[:, :, ::rows], dtype=np.int32)
+    base = sum(_coordinate_codes(heads[i], g, i) for i in range(n - 1))
+    base = base + np.arange(run.shape[2], dtype=np.int32)[:, None] * (rows * order)
+    index = (base[:, None, :] + codes).reshape(batch, order)
+    lanes = np.arange(batch, dtype=np.int32)[:, None] * order
+    fixed = (index == lanes).sum(axis=1, dtype=np.int32)
+    seen, flat = np.zeros(index.size, dtype=bool), index.reshape(-1)
+    for k in range(0, flat.size, 1 << 15):  # numpy indexes by intp: cast cache-sized blocks
+        seen[flat[k : k + (1 << 15)].astype(np.intp)] = True
+    # the counts are at most order; sums into int32 run faster than into int64
+    return fixed, seen.reshape(batch, order).sum(axis=1, dtype=np.int32)
 
 
 @lru_cache(maxsize=64)

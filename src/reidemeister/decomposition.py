@@ -1,14 +1,17 @@
 """Block decomposition of type vectors and characteristic subgroups.
 
-A nondecreasing exponent vector e splits uniquely into three kinds of
-blocks, found in this order:
+A nondecreasing exponent vector e splits uniquely into blocks, in one
+left-to-right scan over its maximal runs of equal exponents:
 
-1. every maximal constant run of length >= 2 becomes an ``a``-block;
-2. among the leftovers, scanning left to right, adjacent pairs
-   (v, v + 1) become ``b``-blocks;
-3. the rest are singleton ``c``-blocks (pairwise distinct, gaps >= 2).
+1. a run of length >= 2 is an ``a``-block;
+2. a single v followed directly by a single v + 1 is a ``b``-block, and
+   the scan moves past both;
+3. any other single is a ``c``-block (pairwise distinct, gaps >= 2).
 
-The depth vector d(e) derived from the blocks selects a characteristic
+This gives the same blocks as taking every a-block first, then the
+adjacent pairs (v, v + 1) among the leftovers from the left, then the
+rest.  The depth vector d(e) starts at 0 and goes up by one on entering
+each b- or c-block after the first block.  It selects the characteristic
 subgroup  +. p^{d_i} Z / p^{e_i} Z;  restricting an automorphism to it
 conjugates the matrix by diag(p^{d_1}, ..., p^{d_n}).
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 
 from .core import IntMatrix
@@ -79,62 +83,29 @@ class BlockDecomposition:
 
 @lru_cache(maxsize=256)
 def abc_decompose(g: PGroupType) -> BlockDecomposition:
-    """Split the type vector into a/b/c blocks and compute d(e)."""
+    """Split the type vector into a/b/c blocks and compute d(e), in one
+    scan over the runs of equal exponents."""
     e = g.e
-    n = len(e)
-    taken = [False] * n
+    runs = [(v, len(list(run))) for v, run in groupby(e)]
     blocks: list[Block] = []
-
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and e[j + 1] == e[i]:
-            j += 1
-        if j > i:
-            blocks.append(Block("a", i, e[i : j + 1]))
-            for t in range(i, j + 1):
-                taken[t] = True
-        i = j + 1
-
-    i = 0
-    while i < n - 1:
-        if not taken[i] and not taken[i + 1] and e[i + 1] == e[i] + 1:
-            blocks.append(Block("b", i, (e[i], e[i + 1])))
-            taken[i] = taken[i + 1] = True
-            i += 2
+    d: list[int] = []
+    k = start = depth = 0
+    while k < len(runs):
+        v, length = runs[k]
+        if length > 1:
+            kind, size = "a", length
+        elif k + 1 < len(runs) and runs[k + 1] == (v + 1, 1):
+            kind, size = "b", 2
         else:
-            i += 1
-
-    for i in range(n):
-        if not taken[i]:
-            blocks.append(Block("c", i, (e[i],)))
-
-    blocks.sort(key=lambda blk: blk.start)
-    counts = {"a": 0, "b": 0, "c": 0}
-    for blk in blocks:
-        counts[blk.kind] += 1
-    tup = tuple(blocks)
-    return BlockDecomposition(
-        e, tup, counts["a"], counts["b"], counts["c"], _depths(n, tup)
-    )
-
-
-def _depths(n: int, blocks: tuple[Block, ...]) -> tuple[int, ...]:
-    """d(e): d_1 = 0, +1 exactly on entering a new b- or c-block."""
-    if n == 0:
-        return ()
-    owner = [0] * n
-    for bid, blk in enumerate(blocks):
-        for i in range(blk.start, blk.end):
-            owner[i] = bid
-    d = [0] * n
-    for i in range(1, n):
-        same_block = owner[i] == owner[i - 1]
-        if same_block or blocks[owner[i]].kind == "a":
-            d[i] = d[i - 1]
-        else:
-            d[i] = d[i - 1] + 1
-    return tuple(d)
+            kind, size = "c", 1
+        if kind != "a" and blocks:  # entering a b- or c-block after the first
+            depth += 1
+        blocks.append(Block(kind, start, e[start : start + size]))
+        d += [depth] * size
+        start += size
+        k += 2 if kind == "b" else 1
+    counts = [sum(blk.kind == kind for blk in blocks) for kind in "abc"]
+    return BlockDecomposition(e, tuple(blocks), *counts, tuple(d))
 
 
 def block_notation(dec: BlockDecomposition) -> str:

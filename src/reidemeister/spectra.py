@@ -222,10 +222,19 @@ def _trimmed(f: list[int]) -> list[int]:
     return f
 
 
-def _x_power_minus_x(f: Sequence[int], p: int, k: int) -> list[int]:
-    """x^{p^k} - x mod the monic f, without trailing zero coefficients."""
-    h = [0, 1]
-    for _ in range(k):
+def is_irreducible(f: Sequence[int], p: int) -> bool:
+    """Ben-Or's test ("Probabilistic algorithms in finite fields", FOCS
+    1981) for f of degree n over Z/p, made monic first: f is irreducible
+    exactly when gcd(x^{p^i} - x, f) = 1 for every i <= n / 2, each
+    x^{p^i} mod f the p-th power of the one before.  The leading
+    coefficient must be a unit mod p."""
+    degree = len(f) - 1
+    if degree < 1:
+        return False
+    inv = pow(f[-1], -1, p)
+    f = [v * inv % p for v in f]
+    h = [0, 1]  # x^{p^i} mod f
+    for _ in range(degree // 2):
         power, base, e = [1], h, p
         while e:
             if e & 1:
@@ -233,24 +242,9 @@ def _x_power_minus_x(f: Sequence[int], p: int, k: int) -> list[int]:
             base = _poly_mulmod(base, base, f, p)
             e >>= 1
         h = power
-    diff = h + [0] * (2 - len(h))
-    diff[1] -= 1
-    return _trimmed(_poly_rem(diff, f, p))
-
-
-def is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Rabin's test for f of degree n over Z/p, made monic first:
-    x^{p^n} = x mod f, and gcd(x^{p^{n/q}} - x, f) = 1 for every prime
-    q dividing n.  The leading coefficient must be a unit mod p."""
-    degree = len(f) - 1
-    if degree < 1:
-        return False
-    inv = pow(f[-1], -1, p)
-    f = [v * inv % p for v in f]
-    if _x_power_minus_x(f, p, degree):
-        return False
-    for q in factorize(degree):
-        a, b = f, _x_power_minus_x(f, p, degree // q)
+        diff = h + [0] * (2 - len(h))
+        diff[1] -= 1
+        a, b = f, _trimmed(_poly_rem(diff, f, p))
         while b:  # Euclid over Z/p; a ends as the monic gcd
             inv = pow(b[-1], -1, p)
             a, b = [v * inv % p for v in b], a

@@ -5,7 +5,9 @@ k*phi that ``spectra.product_number`` builds directly, the gcd-keyed
 Smith elimination that ``_sweep._fix_exponents`` replaced, the
 Leibniz sum that ``_sweep._batch_det`` replaced, and the pure-Python
 element loops that the numpy grid of ``oracle.brute_fixed_points`` and
-``oracle.twisted_class_count`` replaced."""
+``oracle.twisted_class_count`` replaced, and the three-pass a/b/c
+decomposition that the one-scan ``decomposition.abc_decompose``
+replaced."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import numpy as np
 
 from reidemeister import _sweep
 from reidemeister.core import IntMatrix
+from reidemeister.decomposition import Block, BlockDecomposition
 from reidemeister.endo import EndoMatrix, PGroupType, elements, is_automorphism
 from reidemeister.errors import DimensionMismatch, InvariantViolation, NotCoprime
 from reidemeister.oracle import (
@@ -237,3 +240,64 @@ def loop_twisted_class_count(em: EndoMatrix) -> int:
     if order % len(image):
         raise InvariantViolation("image size must divide the group order")
     return order // len(image)
+
+
+def three_pass_decompose(g: PGroupType) -> BlockDecomposition:
+    """The a/b/c blocks in three passes: every maximal constant run of
+    length >= 2, then the adjacent (v, v + 1) pairs among the leftovers
+    from the left, then the rest as singletons; d(e) from the blocks."""
+    e = g.e
+    n = len(e)
+    taken = [False] * n
+    blocks: list[Block] = []
+
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and e[j + 1] == e[i]:
+            j += 1
+        if j > i:
+            blocks.append(Block("a", i, e[i : j + 1]))
+            for t in range(i, j + 1):
+                taken[t] = True
+        i = j + 1
+
+    i = 0
+    while i < n - 1:
+        if not taken[i] and not taken[i + 1] and e[i + 1] == e[i] + 1:
+            blocks.append(Block("b", i, (e[i], e[i + 1])))
+            taken[i] = taken[i + 1] = True
+            i += 2
+        else:
+            i += 1
+
+    for i in range(n):
+        if not taken[i]:
+            blocks.append(Block("c", i, (e[i],)))
+
+    blocks.sort(key=lambda blk: blk.start)
+    counts = {"a": 0, "b": 0, "c": 0}
+    for blk in blocks:
+        counts[blk.kind] += 1
+    tup = tuple(blocks)
+    return BlockDecomposition(
+        e, tup, counts["a"], counts["b"], counts["c"], _depths(n, tup)
+    )
+
+
+def _depths(n: int, blocks: tuple[Block, ...]) -> tuple[int, ...]:
+    """d(e): d_1 = 0, +1 exactly on entering a new b- or c-block."""
+    if n == 0:
+        return ()
+    owner = [0] * n
+    for bid, blk in enumerate(blocks):
+        for i in range(blk.start, blk.end):
+            owner[i] = bid
+    d = [0] * n
+    for i in range(1, n):
+        same_block = owner[i] == owner[i - 1]
+        if same_block or blocks[owner[i]].kind == "a":
+            d[i] = d[i - 1]
+        else:
+            d[i] = d[i - 1] + 1
+    return tuple(d)

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from reidemeister import (
     restrict,
 )
 
-from reference import enumerate_automorphisms
+from reference import enumerate_automorphisms, three_pass_decompose
 
 nondecreasing = st.lists(st.integers(1, 9), min_size=0, max_size=10).map(
     lambda xs: tuple(sorted(xs))
@@ -122,6 +124,17 @@ def test_c_block_directly_before_b_block_has_gap_two(e):
         if prev.kind == "c" and nxt.kind == "b":
             assert nxt.values[0] >= prev.values[0] + 2
 
+
+
+def test_one_scan_matches_the_three_passes():
+    # every nondecreasing e with n <= 8 and entries in 1 .. 8: 12,870 types
+    count = 0
+    for n in range(9):
+        for e in combinations_with_replacement(range(1, 9), n):
+            g = PGroupType(2, e)
+            assert abc_decompose.__wrapped__(g) == three_pass_decompose(g)
+            count += 1
+    assert count == 12870
 
 # -- is_characteristic ---------------------------------------------------------
 

@@ -209,14 +209,14 @@ def test_element_counts_match_the_loops_near_the_order_cap(g):
         assert twisted_class_count(em) == loop_twisted_class_count(em)
 
 
-def _assert_element_counts(g, ranges, dtype):
+def _assert_element_counts(g, ranges):
     # the kernel on each contiguous index range [lo, hi) of the cell,
     # against _meshgrid_counts per matrix
     params, expected = canonical_parameters(g), {}
     for lo, hi in ranges:
         mats = _sweep._decode(np.arange(lo, hi, dtype=np.int64), *params, g.n)
         fixed, image = _sweep._element_counts(mats, g)
-        assert fixed.dtype == image.dtype == dtype
+        assert fixed.dtype == image.dtype == np.int32
         for b, index in enumerate(range(lo, hi)):
             if index not in expected:
                 expected[index] = _meshgrid_counts(_sweep._to_endo(g, mats[:, :, b]))
@@ -224,12 +224,19 @@ def _assert_element_counts(g, ranges, dtype):
 
 
 def _kernel_ranges(lo, hi, order):
-    # [lo, hi), its uneven thirds, and three runs that start mid-block:
-    # one inside a block, one across a block boundary, one over three blocks
-    edge = lo - lo % order + order  # the first block boundary after lo
-    thirds = [(part[0], part[-1] + 1) for part in np.array_split(np.arange(lo, hi), 3) if part.size]
-    runs = [(lo + 1, min(edge, hi)), (edge - 1, edge + 2), (lo + 1, edge + 2 * order + 1)]
-    return [(lo, hi), *thirds, *((a, b) for a, b in runs if lo <= a < b <= hi)]
+    # the runs of [lo, hi) that the kernel takes: its whole blocks of |A|,
+    # its pieces between block boundaries, and the uneven thirds of each
+    # piece, which start and end mid-block
+    first, last = -(-lo // order) * order, hi // order * order
+    cuts = sorted({lo, hi, *range(first, last + 1, order)})
+    pieces = list(zip(cuts, cuts[1:]))
+    thirds = [
+        (part[0], part[-1] + 1)
+        for a, b in pieces
+        for part in np.array_split(np.arange(a, b), 3)
+        if part.size
+    ]
+    return [(first, last)] * (first < last) + pieces + thirds
 
 
 @pytest.mark.parametrize(
@@ -249,7 +256,7 @@ def test_element_counts_match_meshgrid(g):
     size = min(total, 1024 if g.p == 2 else 512)
     lo = 0 if size == total else order + order // 2
     assert lo + size <= total
-    _assert_element_counts(g, _kernel_ranges(lo, lo + size, order), np.int32)
+    _assert_element_counts(g, _kernel_ranges(lo, lo + size, order))
     if size == total:
         for mats, _ in _sweep._walk(g, total, 1, max(1, order // 3)):
             fixed, image = _sweep._element_counts(mats, g)
@@ -258,26 +265,29 @@ def test_element_counts_match_meshgrid(g):
             assert list(zip(fixed.tolist(), image.tolist())) == expected
 
 
-@pytest.mark.parametrize("e, dtype", [(15, np.int32), (16, np.int64)], ids=["int32", "int64"])
-def test_element_counts_at_the_largest_exponents(e, dtype):
-    # p^{2E} = 2^30 is the last int32 cell at n = 1, where only the reduction
-    # of every x_j a_ij keeps the sums in range; at 2^32 the products need
-    # int64.  At n = 1 matrix t is [t]; the runs from the start, the middle
-    # and the end of the cell's one block hold 0, 1, 2, 3, 5, 2^(e-1),
-    # 2^(e-1) + 1 and 2^e - 1
-    g = PGroupType(2, (e,))
-    top = 2**e
-    _assert_element_counts(g, [(0, 6), (top // 2 - 1, top // 2 + 2), (top - 2, top)], dtype)
+def test_element_counts_at_the_largest_exponents():
+    # p^{2E} = 2^28 at the largest cell under the order cap, n = 1, where
+    # only the reduction of every x_j a_ij keeps the int32 sums in range.
+    # At n = 1 matrix t is [t]; the runs from the start, the middle and the
+    # end of the cell's one block hold 0, 1, 2, 3, 5, 2^13, 2^13 + 1 and
+    # 2^14 - 1.  Past the cap the kernel refuses before building a table
+    g = PGroupType(2, (14,))
+    top = 2**14
+    _assert_element_counts(g, [(0, 6), (top // 2 - 1, top // 2 + 2), (top - 2, top)])
+    mats = np.arange(6, dtype=np.int64).reshape(1, 1, 6)
+    with pytest.raises(BudgetExceeded, match="group order 32768 exceeds the cap 16384"):
+        _sweep._element_counts(mats, PGroupType(2, (15,)))
 
 
 def test_element_counts_refuse_a_stack_that_is_not_a_run():
-    # rows 0 .. n - 2 must stay constant within a block of |A| matrices
-    # and the last rows must follow the index order; the sampled stacks
-    # of older tests, or a changed first row, would get another matrix's
-    # counts without the check
+    # the stack must be whole blocks of |A| = 8 from a block boundary or a
+    # run inside one block, rows 0 .. n - 2 must stay constant within a
+    # block and the last rows must follow the index order; the sampled
+    # stacks of older tests, runs across a block boundary, or a changed
+    # first row, would get another matrix's counts without the checks
     g = PGroupType(2, (1, 2))
     params = canonical_parameters(g)
-    run = _sweep._decode(np.arange(6, 12, dtype=np.int64), *params, g.n)
+    run = _sweep._decode(np.arange(9, 15, dtype=np.int64), *params, g.n)
     assert _sweep._element_counts(run, g)[0].tolist() == [
         _meshgrid_counts(_sweep._to_endo(g, run[:, :, b]))[0] for b in range(6)
     ]
@@ -286,6 +296,12 @@ def test_element_counts_refuse_a_stack_that_is_not_a_run():
     spread = _sweep._decode(np.array([0, 1, 9]), *params, g.n)
     for mats in (varied, spread):
         with pytest.raises(InvariantViolation, match="consecutive canonical matrices"):
+            _sweep._element_counts(mats, g)
+    # across one block boundary, from mid-block over three blocks, and
+    # whole blocks and a half
+    for lo, hi in [(6, 12), (1, 25), (8, 20)]:
+        mats = _sweep._decode(np.arange(lo, hi, dtype=np.int64), *params, g.n)
+        with pytest.raises(InvariantViolation, match="or a run inside one"):
             _sweep._element_counts(mats, g)
 
 
@@ -590,6 +606,36 @@ def test_walk_is_carry_free(g, cap):
         walked.append(mats.shape[2])
     assert (visits == 1).all()
     assert sorted(walked) == sorted(lengths)
+
+
+@pytest.mark.parametrize(
+    "g, cap",
+    [
+        (PGroupType(8209, (1,)), 63),
+        (PGroupType(3, (1, 1, 2)), 2157),
+        (PGroupType(2, (1, 11)), 64),
+        (PGroupType(2, (1, 1, 1, 2)), 10),
+        (PGroupType(5, (1, 1)), 7),
+        (PGroupType(7, (1, 2)), 8192),
+        (PGroupType(2, ()), 1),
+    ],
+    ids=str,
+)
+def test_walk_chunks_are_whole_blocks_or_inside_one(g, cap):
+    # the element kernel's precondition: a chunk of a * p^K rows inside a
+    # p^(K+1) cycle, of a total that |A| divides, is whole blocks of |A|
+    # from a block boundary or a run inside one block
+    total, order = endomorphism_count(g), g.order
+    strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
+    kinds = set()
+    for mats, _ in _sweep._walk(g, total, 1, cap):
+        start = int(_sweep._weights(counts) @ (mats[:, :, 0].reshape(-1) // strides))
+        length = mats.shape[2]
+        whole = start % order == 0 and length % order == 0
+        inside = start // order == (start + length - 1) // order
+        assert whole or inside
+        kinds.add("whole" if whole else "inside")
+    assert kinds == ({"whole"} if cap >= order else {"inside"})
 
 
 def test_samples_survive_chunk_boundaries(monkeypatch):
