@@ -236,7 +236,8 @@ def _kernel_ranges(lo, hi, order):
         for part in np.array_split(np.arange(a, b), 3)
         if part.size
     ]
-    return [(first, last)] * (first < last) + pieces + thirds
+    whole = [(first, last)] if first < last else []
+    return whole + pieces + thirds
 
 
 @pytest.mark.parametrize(
