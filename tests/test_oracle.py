@@ -266,18 +266,24 @@ def test_element_counts_match_meshgrid(g):
             assert list(zip(fixed.tolist(), image.tolist())) == expected
 
 
-def test_element_counts_at_the_largest_exponents():
+@pytest.mark.parametrize("e", [14, 16], ids=["int32", "int64"])
+def test_element_counts_at_the_largest_exponents(e):
     # p^{2E} = 2^28 at the largest cell under the order cap, n = 1, where
     # only the reduction of every x_j a_ij keeps the int32 sums in range.
     # At n = 1 matrix t is [t]; the runs from the start, the middle and the
     # end of the cell's one block hold 0, 1, 2, 3, 5, 2^13, 2^13 + 1 and
-    # 2^14 - 1.  Past the cap the kernel refuses before building a table
-    g = PGroupType(2, (14,))
-    top = 2**14
-    _assert_element_counts(g, [(0, 6), (top // 2 - 1, top // 2 + 2), (top - 2, top)])
+    # 2^14 - 1.  Past the cap, from 2^15 on and at 2^16 where the products
+    # would need int64, the kernel refuses before building a table
+    g = PGroupType(2, (e,))
+    top = 2**e
     mats = np.arange(6, dtype=np.int64).reshape(1, 1, 6)
-    with pytest.raises(BudgetExceeded, match="group order 32768 exceeds the cap 16384"):
-        _sweep._element_counts(mats, PGroupType(2, (15,)))
+    if e == 14:
+        _assert_element_counts(g, [(0, 6), (top // 2 - 1, top // 2 + 2), (top - 2, top)])
+        with pytest.raises(BudgetExceeded, match="group order 32768 exceeds the cap 16384"):
+            _sweep._element_counts(mats, PGroupType(2, (15,)))
+    else:
+        with pytest.raises(BudgetExceeded, match=f"group order {top} exceeds the cap 16384"):
+            _sweep._element_counts(mats, g)
 
 
 def test_element_counts_refuse_a_stack_that_is_not_a_run():
