@@ -34,9 +34,11 @@ valuation, divides only exactly (by shifts, or by inverses mod 2^w) and
 reads its last two valuations from a 2x2 determinant below p^{2E}, and
 cells past the int64 bounds of ``batchable`` raise BudgetExceeded
 like cells over the enumeration budget.  A deterministic sample of every
-cell, automorphisms or not, is re-checked one matrix at a time, through
-the per-object lattice route and, in ``triple_check``, the element-level
-numpy counts of ``oracle``, which share no code with the kernel.
+cell, automorphisms or not, is re-checked one matrix at a time: in
+``sweep_cell`` by ``det_mod_p``, ``lattice_index`` over all p - 1 unit
+multiples (k = 1 gives R) and ``restrict`` plus ``_column_reports``; in
+``triple_check`` by the lattice route and the element-level numpy counts
+of ``oracle``, which share no code with the kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import IntMatrix
-from .decomposition import _column_reports, abc_decompose, restrict
+from .decomposition import _column_reports, _subgroup_type, abc_decompose, restrict
 from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism
 from .errors import BudgetExceeded, InvariantViolation
 from .oracle import (
@@ -62,7 +64,7 @@ from .oracle import (
     endomorphism_count,
     twisted_class_count,
 )
-from .spectra import product_number
+from .spectra import _r_pi_exponents
 
 _INT64_SAFE = 2**62
 SWEEP_SAMPLES = 48  # per-object re-checks per sweep_cell
@@ -387,19 +389,16 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
     ok = np.ones(_batch(mats, n), dtype=bool)
     dec = abc_decompose(g)
     p_d = np.array([p**int(v) for v in dec.d], dtype=mats.dtype)
-    sub_e = np.array(g.e, dtype=np.int64) - np.array(dec.d, dtype=np.int64)
+    sub = _subgroup_type(g, dec.d)  # the type e - d
     c = mats * p_d[None, :, None]
     for i, d in enumerate(dec.d):
         if d:  # by a Python-int scalar: see _reduce
             c[i] //= p**d
 
-    for i in range(n):
-        for j in range(i):
-            gap = int(sub_e[i] - sub_e[j])
-            if gap > 0:
-                ok &= _reduce(c[i, j], p**gap) == 0
-    # d(e) is characteristic, so sub_e is nondecreasing and the loop above gives p | M_ij
-    ok &= _invertible_mod_p(c, sub_e, p)
+    for k, divisor in sub._divisors:
+        ok &= _reduce(c[divmod(k, n)], divisor) == 0
+    # d(e) is characteristic, so sub.e is nondecreasing and the loop above gives p | M_ij
+    ok &= _invertible_mod_p(c, sub.e, p)
     for j in [blk.start for blk in dec.blocks if blk.kind != "a"]:  # b/c-block starts
         col = _reduce(c[:, j], p)
         ok &= col[j] != 0
@@ -545,8 +544,10 @@ def _exponents(autos: np.ndarray, live, g: PGroupType) -> tuple[np.ndarray, np.n
 
 
 def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
-    """Re-check an even spread of the cell's endomorphisms through the
-    batched stages against the per-object APIs."""
+    """Re-check the batched stages on an even spread of the cell's
+    endomorphisms, one EndoMatrix each: invertibility by ``det_mod_p``, R and
+    Pi by ``lattice_index`` over all p - 1 unit multiples (k = 1 shared) and
+    the structure by ``restrict`` plus ``_column_reports``."""
     indices = _sample_indices(total, SWEEP_SAMPLES)
     mats = _decode(indices, *canonical_parameters(g), g.n).astype(_stack_dtype(g))
     amask = _invertible_mod_p(mats, g.e, g.p)
@@ -555,18 +556,13 @@ def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
     rows = zip(r_exp.tolist(), pi_exp.tolist(), _structure_ok(autos, g).tolist())
     dec = abc_decompose(g)
     ok = True
-    for b, auto in enumerate(amask.tolist()):
-        em = _to_endo(g, mats[:, :, b])
-        if not auto:
-            ok &= not is_automorphism(em)
-            continue
-        r, pi, struct = next(rows)
-        ok &= (
-            is_automorphism(em)
-            and fixed_point_count(em).nu(g.p) == r
-            and product_number(em).nu(g.p) == pi
-            and _reference_structure_ok(em, dec) == struct
-        )
+    samples = mats.transpose(2, 0, 1).reshape(len(indices), -1).tolist()
+    for auto, entries in zip(amask.tolist(), samples):
+        em = EndoMatrix(g, IntMatrix(g.n, g.n, entries))
+        ok &= is_automorphism(em) == auto
+        if auto:
+            r, pi, struct = next(rows)
+            ok &= _r_pi_exponents(em) == (r, pi) and _reference_structure_ok(em, dec) == struct
     return len(indices), ok
 
 

@@ -141,6 +141,8 @@ def restrict(em: EndoMatrix, d: Sequence[int]) -> EndoMatrix:
     """
     d = tuple(int(v) for v in d)
     sub = _subgroup_type(em.group, d)
+    if not any(d):  # D = I
+        return em
     n, powers = sub.n, [em.group.p**v for v in d]
     entries = []
     for i in range(n):

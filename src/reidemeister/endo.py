@@ -61,7 +61,7 @@ class PGroupType:
             raise ValueError(f"exponents must be nondecreasing, got {e}")
         object.__setattr__(self, "e", e)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.e)
 
@@ -76,6 +76,14 @@ class PGroupType:
     @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(self.p**v for v in self.e)
+
+    @cached_property
+    def _divisors(self) -> tuple[tuple[int, int], ...]:
+        """(row-major position of M_ij, p^(e_i - e_j)) for each e_i > e_j."""
+        e, n = self.e, self.n
+        return tuple(
+            (i * n + j, self.p ** (e[i] - e[j])) for i in range(n) for j in range(i) if e[i] > e[j]
+        )
 
     @property
     def is_trivial(self) -> bool:
@@ -133,16 +141,8 @@ def elements(g: PGroupType) -> Iterator[tuple[int, ...]]:
 def is_valid_endo(g: PGroupType, m: IntMatrix) -> bool:
     """True iff m is n x n and satisfies the divisibility constraints."""
     if m.rows != g.n or m.cols != g.n:
-        raise DimensionMismatch(
-            f"type {g} needs a {g.n}x{g.n} matrix, got {m.rows}x{m.cols}"
-        )
-    p, e = g.p, g.e
-    for i in range(g.n):
-        row = m.row(i)
-        for j in range(i):
-            if e[i] > e[j] and row[j] % p ** (e[i] - e[j]):
-                return False
-    return True
+        raise DimensionMismatch(f"type {g} needs a {g.n}x{g.n} matrix, got {m.rows}x{m.cols}")
+    return not any(m.entries[k] % divisor for k, divisor in g._divisors)
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,10 @@ class EndoMatrix:
             raise InvalidEndoMatrix(
                 f"matrix violates p^(e_i-e_j) divisibility for type {g}"
             )
-        moduli = g.moduli
-        reduced = tuple(
-            v % moduli[i]
-            for i in range(g.n)
-            for v in self.m.row(i)
-        )
-        object.__setattr__(self, "m", IntMatrix(g.n, g.n, reduced))
+        n, moduli = g.n, g.moduli
+        reduced = tuple(v % moduli[k // n] for k, v in enumerate(self.m.entries))
+        if reduced != self.m.entries:  # keep an already canonical matrix
+            object.__setattr__(self, "m", IntMatrix(n, n, reduced))
 
     @classmethod
     def identity(cls, group: PGroupType) -> EndoMatrix:

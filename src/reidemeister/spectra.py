@@ -145,12 +145,17 @@ def product_number(em: EndoMatrix) -> Factored:
     """Pi(phi): product over i in [1, p-1] of |Fix(mul_i . phi)|."""
     if not is_automorphism(em):
         raise NotAutomorphism("product number is only defined for automorphisms")
+    return Factored.prime_power(em.group.p, _r_pi_exponents(em)[1])
+
+
+def _r_pi_exponents(em: EndoMatrix) -> tuple[int, int]:
+    """Exponents of R(phi) and Pi(phi): R's is Pi's k = 1 lattice index."""
     g, entries = em.group, em.m.entries
     if g.n == 0:  # every multiple fixes the one element
-        return Factored.one()
-    # i*M, unreduced, is a matrix of mul_i . phi: see _fixed_point_exponent
-    nu = sum(_fixed_point_exponent(g, [i * v for v in entries]) for i in range(1, g.p))
-    return Factored.prime_power(g.p, nu)
+        return 0, 0
+    # k*M, unreduced, is a matrix of mul_k . phi: see _fixed_point_exponent
+    r = _fixed_point_exponent(g, entries)
+    return r, r + sum(_fixed_point_exponent(g, [k * v for v in entries]) for k in range(2, g.p))
 
 
 def spec_r_odd_p(g: PGroupType) -> Spectrum:

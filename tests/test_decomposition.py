@@ -159,7 +159,9 @@ def test_is_characteristic_validation():
 
 def test_restrict_zero_depths_is_identity_operation():
     em = EndoMatrix(PGroupType(2, (2, 3)), parse_matrix("1,1;2,1"))
-    assert restrict(em, (0, 0)) == em
+    assert restrict(em, (0, 0)) is em
+    trivial = EndoMatrix(PGroupType(3, ()), parse_matrix(""))
+    assert restrict(trivial, ()) is trivial
 
 
 def test_restrict_conjugates():
@@ -182,6 +184,12 @@ def test_restrict_errors():
         restrict(em, (1, 0))
     with pytest.raises(FullDepth):
         restrict(em, (1, 2))
+    with pytest.raises(OutOfRange):
+        restrict(em, (0, 3))
+    with pytest.raises(OutOfRange):
+        restrict(em, (-1, 0))
+    with pytest.raises(DimensionMismatch):  # all zero, but one depth short
+        restrict(em, (0,))
 
 
 def test_restrict_full_depth_flagged_before_use():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -90,9 +91,30 @@ def test_is_valid_endo_examples():
         is_valid_endo(PGroupType(2, (2, 3)), parse_matrix("1"))
 
 
+@pytest.mark.parametrize("g", [PGroupType(2, (1, 2, 3)), PGroupType(3, (1, 1, 3))], ids=str)
+def test_is_valid_endo_matches_a_double_loop(g):
+    # only the entries below the diagonal are constrained: all 8^3 of
+    # them in [0, 8), each beside two fills of the other six entries
+    def loop_valid(entries):
+        return all(
+            entries[i * 3 + j] % g.p ** (g.e[i] - g.e[j]) == 0
+            for i in range(3)
+            for j in range(i)
+            if g.e[i] > g.e[j]
+        )
+
+    for low in itertools.product(range(8), repeat=3):
+        for fill in (0, 7):
+            entries = [fill] * 9
+            entries[3], entries[6], entries[7] = low
+            assert is_valid_endo(g, IntMatrix(3, 3, tuple(entries))) == loop_valid(entries)
+
+
 def test_endo_matrix_rejects_invalid():
     with pytest.raises(InvalidEndoMatrix):
         EndoMatrix(PGroupType(2, (1, 2)), parse_matrix("1,1;1,1"))
+    with pytest.raises(DimensionMismatch):
+        EndoMatrix(PGroupType(2, (1, 2)), parse_matrix("1"))
 
 
 def test_endo_matrix_normalizes_rows():
@@ -102,6 +124,9 @@ def test_endo_matrix_normalizes_rows():
     g2 = PGroupType(2, (1, 2))
     em = EndoMatrix(g2, parse_matrix("5,3;6,7"))
     assert em.m.to_rows() == [[1, 1], [2, 3]]
+    # an already reduced matrix is kept as given
+    m = parse_matrix("1,1;2,3")
+    assert EndoMatrix(g2, m).m is m and EndoMatrix(g2, m) == em
 
 
 def test_is_automorphism_examples():

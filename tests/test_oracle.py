@@ -694,9 +694,10 @@ def test_samples_survive_chunk_boundaries(monkeypatch):
 
 
 def test_sample_reanchoring_runs_the_whole_reference_route(monkeypatch):
-    # every sampled automorphism of a p = 5 cell reaches product_number and
-    # _reference_structure_ok once, and each product number multiplies
-    # p - 1 lattice indices, one per unit multiple
+    # every sample of a p = 5 cell reaches is_automorphism once, and every
+    # sampled automorphism _r_pi_exponents and _reference_structure_ok once;
+    # _r_pi_exponents takes p - 1 lattice indices, one per unit multiple,
+    # the k = 1 one serving both R and Pi
     g = PGroupType(5, (1, 2))
     total = endomorphism_count(g)
     indices = _sweep._sample_indices(total, _sweep.SWEEP_SAMPLES)
@@ -705,7 +706,7 @@ def test_sample_reanchoring_runs_the_whole_reference_route(monkeypatch):
     assert len(indices) == _sweep.SWEEP_SAMPLES and 0 < autos < len(indices)
 
     calls = Counter()
-    per_product = []
+    per_helper = []
 
     def counting(module, name):
         fn = getattr(module, name)
@@ -714,24 +715,57 @@ def test_sample_reanchoring_runs_the_whole_reference_route(monkeypatch):
             calls[name] += 1
             before = calls["lattice_index"]
             out = fn(*args)
-            if name == "product_number":
-                per_product.append(calls["lattice_index"] - before)
+            if name == "_r_pi_exponents":
+                per_helper.append(calls["lattice_index"] - before)
             return out
 
         monkeypatch.setattr(module, name, counted)
 
     for module, name in [
-        (_sweep, "product_number"),
+        (_sweep, "_r_pi_exponents"),
         (_sweep, "_reference_structure_ok"),
-        (_sweep, "fixed_point_count"),
+        (_sweep, "is_automorphism"),
         (endo, "lattice_index"),
     ]:
         counting(module, name)
     assert _sweep._recheck_samples(g, total) == (len(indices), True)
-    assert calls["product_number"] == calls["_reference_structure_ok"] == autos
-    assert calls["fixed_point_count"] == autos
-    assert per_product == [g.p - 1] * autos
-    assert calls["lattice_index"] == autos * g.p
+    assert calls["_r_pi_exponents"] == calls["_reference_structure_ok"] == autos
+    # one in the loop per sample, one on each restricted automorphism
+    assert calls["is_automorphism"] == len(indices) + autos
+    assert per_helper == [g.p - 1] * autos
+    assert calls["lattice_index"] == autos * (g.p - 1)
+
+
+@pytest.mark.parametrize(
+    "g, fault",
+    [
+        *[(PGroupType(5, (1, 2)), fault) for fault in ("k=1", "k>1", "R")],
+        *[(PGroupType(3, (1, 1)), fault) for fault in ("k=1", "k>1", "R")],
+        *[(PGroupType(2, (1, 2)), fault) for fault in ("k=1", "R")],  # p = 2 has no k > 1
+    ],
+    ids=str,
+)
+def test_sample_reanchoring_catches_a_fault_in_one_number(monkeypatch, g, fault):
+    # one more on the batched exponent of the k = 1 rows alone changes R
+    # and Pi, on the k > 1 rows alone only Pi, and on R's histogram input
+    # alone only R; the per-object route must see each, so it may neither
+    # derive R from Pi nor compare either number with itself
+    fix, exponents = _sweep._fix_exponents, _sweep._exponents
+
+    def faulty_fix(mats, g, multiplier):
+        return fix(mats, g, multiplier) + ((np.asarray(multiplier) == 1) == (fault == "k=1"))
+
+    def faulty_exponents(autos, live, g):
+        r_exp, pi_exp = exponents(autos, live, g)
+        return r_exp + 1, pi_exp
+
+    total = endomorphism_count(g)
+    assert _sweep._recheck_samples(g, total)[1]
+    if fault == "R":
+        monkeypatch.setattr(_sweep, "_exponents", faulty_exponents)
+    else:
+        monkeypatch.setattr(_sweep, "_fix_exponents", faulty_fix)
+    assert _sweep._recheck_samples(g, total) == (min(total, _sweep.SWEEP_SAMPLES), False)
 
 
 def _multiset(mats):

@@ -30,7 +30,7 @@ from reidemeister import (
     witness,
     witness_abelian,
 )
-from reidemeister.spectra import _fill, is_irreducible
+from reidemeister.spectra import _fill, _r_pi_exponents, is_irreducible
 
 from reference import enumerate_automorphisms, scale
 
@@ -87,6 +87,9 @@ def test_product_number_requires_automorphism():
 def test_product_number_trivial_group():
     em = EndoMatrix(PGroupType(5, ()), IntMatrix(0, 0, ()))
     assert product_number(em) == Factored.one()
+    # no loop over the p - 1 unit multiples of the one element
+    em = EndoMatrix(PGroupType(10**9 + 7, ()), IntMatrix(0, 0, ()))
+    assert _r_pi_exponents(em) == (0, 0) and product_number(em) == Factored.one()
 
 
 def test_product_number_multiplicative_on_blocks():
