@@ -49,7 +49,6 @@ from .errors import (
     NonPositiveExponent,
     NotAutomorphism,
     NotCharacteristic,
-    NotCoprime,
     NotPrime,
     NumberTooLarge,
     OutOfRange,

@@ -18,11 +18,13 @@ decide that.  The walk keeps each pattern whose blocks have a unit
 determinant mod p and adds every value of the other, free, digits.
 kM - I has the same shape, so |Fix(kM)| = 1 exactly when every k*B - I
 is invertible mod p.  A multiplier k is live for a pattern when some
-k*B - I is singular, that is when 1/k is an eigenvalue of B mod p (for
-a 1x1 block r, k = 1/r).  A pattern has at most n live multipliers,
-every other k has exponent 0, and ``_fix_exponents`` runs on the live
-(row, k) pairs only.  The rows walked are checked against the
-Hillar-Rhea count.
+k*B - I is singular, that is when 1/k is an eigenvalue of B mod p.
+``_live`` keeps one rule per type: when every diagonal block is 1x1 it
+takes k = 1/r from each block r, otherwise it tests every k, which finds
+the live k of the 1x1 blocks too.  A pattern has at most n live
+multipliers, every other k has exponent 0, and ``_fix_exponents`` runs
+on the live (row, k) pairs only.  The rows walked are checked against
+the Hillar-Rhea count.
 
 All arithmetic stays exact: ``_product_bound`` bounds every intermediate
 of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
@@ -482,16 +484,18 @@ def _live(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray | None, np.ndarra
     their residue patterns, row b being matrix [:, :, b], as arrays (rows,
     ks) sorted by row then k: k*M - I is not invertible mod p, see the
     module docstring.  rows is None when each row has one live k, ks[i]
-    that of row i.  A 1x1 block r makes only r^{-1} live, larger ones test every k."""
+    that of row i.  One rule per block shape: when every diagonal block is
+    1x1, a block r makes only r^{-1} live; otherwise every k is tested,
+    which covers the 1x1 blocks too."""
     p, every = g.p, np.arange(_batch(mats, g.n))
-    singles = [i for i, v in enumerate(g.e) if g.e.count(v) == 1]
-    inverses = [_inverse_mod_p(_reduce(mats[i, i], p), p) for i in singles]
-    if g.n == 1:  # one 1x1 block: r^{-1} is the one live k of each row
-        return None, inverses[0]
-    codes = [every * p + ks for ks in inverses]
-    if len(singles) < g.n:
+    if len(set(g.e)) == g.n:
+        inverses = [_inverse_mod_p(_reduce(mats[i, i], p), p) for i in range(g.n)]
+        if g.n == 1:  # r^{-1} is the one live k of each row
+            return None, inverses[0]
+        codes = [every * p + ks for ks in inverses]
+    else:
         eye = np.eye(g.n, dtype=mats.dtype)[:, :, None]
-        codes += [every[~_invertible_mod_p(k * mats - eye, g.e, p)] * p + k for k in range(1, p)]
+        codes = [every[~_invertible_mod_p(k * mats - eye, g.e, p)] * p + k for k in range(1, p)]
     rows, ks = np.divmod(np.unique(np.concatenate(codes or [every[:0]])), p)
     return (None if np.array_equal(rows, every) else rows), ks
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import count
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -285,10 +285,7 @@ class Factored:
         return 0
 
     def to_int(self) -> int:
-        n = 1
-        for p, k in self._pairs:
-            n *= p**k
-        return n
+        return prod(p**k for p, k in self._pairs)
 
     def __int__(self) -> int:
         return self.to_int()

@@ -54,10 +54,6 @@ class InvalidEndoMatrix(ReidemeisterError, ValueError):
     exit_code, label = 5, "invalid matrix"
 
 
-class NotCoprime(ReidemeisterError, ValueError):
-    """Scaling factor must be coprime to the group's prime."""
-
-
 class OutOfRange(ReidemeisterError, ValueError):
     """A depth entry outside [0, e_i], or a cyclic order below 2."""
 

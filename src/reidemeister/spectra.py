@@ -23,6 +23,7 @@ least b + c of the Sylow-2 type.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -54,16 +55,17 @@ __all__ = [
 ]
 
 
-class Spectrum:
-    """A finite set of positive integers kept in factored form."""
+class Spectrum(frozenset):
+    """A finite set of positive integers kept in factored form: a frozenset
+    of Factored values."""
 
-    __slots__ = ("_values",)
+    __slots__ = ()
 
-    def __init__(self, values: Iterable[Factored] = ()):
-        vals = frozenset(values)
-        if not all(isinstance(v, Factored) for v in vals):
+    def __new__(cls, values: Iterable[Factored] = ()):
+        self = super().__new__(cls, values)
+        if not all(isinstance(v, Factored) for v in self):
             raise TypeError("spectrum values must be Factored")
-        self._values: frozenset[Factored] = vals
+        return self
 
     @classmethod
     def prime_range(cls, p: int, lo: int, hi: int) -> Spectrum:
@@ -72,32 +74,17 @@ class Spectrum:
 
     @property
     def values(self) -> frozenset[Factored]:
-        return self._values
+        return frozenset(self)
 
     def sorted_values(self) -> list[Factored]:
-        return sorted(self._values, key=Factored.to_int)
+        return sorted(self, key=Factored.to_int)
 
     def ints(self) -> list[int]:
-        return sorted(v.to_int() for v in self._values)
-
-    def __contains__(self, value: Factored) -> bool:
-        return value in self._values
-
-    def __iter__(self) -> Iterator[Factored]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Spectrum) and self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self._values)
+        return sorted(v.to_int() for v in self)
 
     def __mul__(self, other: Spectrum) -> Spectrum:
         """Product set {x * y : x in self, y in other}."""
-        return Spectrum(x * y for x in self._values for y in other._values)
+        return Spectrum(x * y for x in self for y in other)
 
     def __repr__(self) -> str:
         return f"Spectrum({self.ints()})"
@@ -117,10 +104,7 @@ class AbelianGroupType:
 
     @property
     def order(self) -> int:
-        n = 1
-        for v in self.cyclic_orders:
-            n *= v
-        return n
+        return math.prod(self.cyclic_orders)
 
     def sylow(self) -> dict[int, PGroupType]:
         """Primary decomposition: one p-group type per prime divisor."""

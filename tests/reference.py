@@ -22,7 +22,7 @@ from reidemeister import _sweep
 from reidemeister.core import IntMatrix
 from reidemeister.decomposition import Block, BlockDecomposition
 from reidemeister.endo import EndoMatrix, PGroupType, elements, is_automorphism
-from reidemeister.errors import DimensionMismatch, InvariantViolation, NotCoprime
+from reidemeister.errors import DimensionMismatch, InvariantViolation
 from reidemeister.oracle import (
     DEFAULT_BUDGET,
     EnumBudget,
@@ -150,7 +150,7 @@ def _find_pivot(a: list[list[int]], k: int, rows: int, cols: int) -> tuple[int, 
 def scale(em: EndoMatrix, i: int) -> EndoMatrix:
     """Compose with multiplication by i; i must be coprime to p."""
     if gcd(i, em.group.p) != 1:
-        raise NotCoprime(f"{i} is not coprime to {em.group.p}")
+        raise ValueError(f"{i} is not coprime to {em.group.p}")
     return EndoMatrix(em.group, em.m.map_entries(lambda v: i * v))
 
 

@@ -481,7 +481,6 @@ def test_error_classes_carry_their_exit_codes():
         "InvalidEndoMatrix": (5, LABELS[5]),
         "NotAutomorphism": (5, LABELS[5]),
         "RankDeficient": internal,
-        "NotCoprime": internal,
         "NotCharacteristic": internal,
         "FullDepth": internal,
         "BudgetExceeded": internal,

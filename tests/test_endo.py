@@ -12,7 +12,6 @@ from reidemeister import (
     IntMatrix,
     InvalidEndoMatrix,
     NonPositiveExponent,
-    NotCoprime,
     NotPrime,
     PGroupType,
     apply,
@@ -172,7 +171,7 @@ def test_scale():
     assert scale(em, 1) == em
     assert scale(em, 2).m.entries == (14,)
     assert scale(EndoMatrix(PGroupType(3, (1,)), parse_matrix("1")), 2).m.entries == (2,)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ValueError, match="not coprime"):
         scale(em, 10)
 
 

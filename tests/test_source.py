@@ -26,6 +26,19 @@ def test_invariants_do_not_rely_on_assert():
     assert found == []
 
 
+def test_every_error_class_has_a_raiser():
+    # an error class that nothing in the package raises is dead public API
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    assert sorted(classes - raised) == ["ReidemeisterError"]
+
+
 def test_cli_main_handles_only_the_base_error_and_exception():
     # exit codes 2-5 and 7 come from the error classes, not from a list in main
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))

@@ -59,6 +59,20 @@ def test_spectrum_equality_and_contains():
     assert len(s) == 3
 
 
+def test_spectrum_is_a_frozenset_of_factored_values():
+    with pytest.raises(TypeError, match="must be Factored"):
+        Spectrum([Factored.one(), 2])
+    a, b = Spectrum.prime_range(2, 1, 3), Spectrum.prime_range(3, 0, 1)
+    assert type(a * b) is Spectrum
+    assert repr(a) == "Spectrum([2, 4, 8])"
+    assert hash(a) == hash(Spectrum(reversed(a.sorted_values())))
+    # a frozenset subclass: equal to the plain set of its values, and the
+    # set operations return plain frozensets
+    assert a == a.values and type(a.values) is frozenset
+    assert type(a | b) is frozenset and type(a & b) is frozenset
+    assert a & Spectrum.prime_range(2, 2, 5) == {Factored({2: 2}), Factored({2: 3})}
+
+
 # -- product number -------------------------------------------------------------
 
 
