@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from .core import Factored, IntMatrix, factorize, is_prime
@@ -175,77 +175,78 @@ def spec_r_abelian(a: AbelianGroupType) -> Spectrum:
 
 # -- irreducible polynomials and companion matrices -----------------------
 #
-# Polynomials over Z/p are tuples of coefficients, lowest degree first;
-# a monic degree-n polynomial has length n + 1 with last entry 1.
+# Polynomials over Z/p are sequences of coefficients, lowest degree first;
+# a monic degree-n polynomial has length n + 1 with last entry 1.  The
+# F_p[x] arithmetic is one remainder and one powmod, which Ben-Or's test
+# and its one Euclid loop read.
 
 
 def _poly_rem(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
-    # remainder of f mod a monic g, coefficients mod p
-    work = [v % p for v in f]
-    dg = len(g) - 1
+    # f mod g (leading coefficient a unit mod p), zero high coefficients trimmed
+    work, dg, inv = [v % p for v in f], len(g) - 1, pow(g[-1], -1, p)
     for i in range(len(work) - 1, dg - 1, -1):
-        c = work[i]
+        c = work[i] * inv % p
         if c:
             for j in range(dg + 1):
                 work[i - dg + j] = (work[i - dg + j] - c * g[j]) % p
-    return work[:dg]
+    del work[dg:]
+    while work and work[-1] == 0:
+        work.pop()
+    return work
 
 
-def _monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
-    # ascending in (c_{degree-1}, ..., c_0), the last varying fastest
-    for high_first in product(range(p), repeat=degree):
-        yield high_first[::-1] + (1,)
+def _poly_powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    # a^e mod f by square and multiply
+    def mulmod(u: Sequence[int], v: Sequence[int]) -> list[int]:
+        out = [0] * (len(u) + len(v) - 1)
+        for i, s in enumerate(u):
+            for j, t in enumerate(v):
+                out[i + j] += s * t
+        return _poly_rem(out, f, p)
 
-
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        for j, v in enumerate(b):
-            out[i + j] += u * v
-    return _poly_rem(out, f, p)
-
-
-def _trimmed(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+    power = [1]
+    while e:
+        if e & 1:
+            power = mulmod(power, a)
+        a, e = mulmod(a, a), e >> 1
+    return power
 
 
 def is_irreducible(f: Sequence[int], p: int) -> bool:
     """Ben-Or's test ("Probabilistic algorithms in finite fields", FOCS
-    1981) for f of degree n over Z/p, made monic first: f is irreducible
-    exactly when gcd(x^{p^i} - x, f) = 1 for every i <= n / 2, each
-    x^{p^i} mod f the p-th power of the one before.  The leading
-    coefficient must be a unit mod p."""
+    1981) for f of degree n over Z/p: f is irreducible exactly when
+    gcd(x^{p^i} - x, f) = 1 for every i <= n / 2, each x^{p^i} mod f the
+    p-th power of the one before.  The leading coefficient must be a
+    unit mod p."""
     degree = len(f) - 1
     if degree < 1:
         return False
-    inv = pow(f[-1], -1, p)
-    f = [v * inv % p for v in f]
-    h = [0, 1]  # x^{p^i} mod f
+    h = _poly_rem([0, 1], f, p)  # x^{p^i} mod f; raises unless f[-1] is a unit
     for _ in range(degree // 2):
-        power, base, e = [1], h, p
-        while e:
-            if e & 1:
-                power = _poly_mulmod(power, base, f, p)
-            base = _poly_mulmod(base, base, f, p)
-            e >>= 1
-        h = power
+        h = _poly_powmod(h, p, f, p)
         diff = h + [0] * (2 - len(h))
         diff[1] -= 1
-        a, b = f, _trimmed(_poly_rem(diff, f, p))
-        while b:  # Euclid over Z/p; a ends as the monic gcd
-            inv = pow(b[-1], -1, p)
-            a, b = [v * inv % p for v in b], a
-            b = _trimmed(_poly_rem(b, a, p))
+        a, b = f, _poly_rem(diff, f, p)
+        while b:  # Euclid over Z/p; a ends as a gcd
+            a, b = b, _poly_rem(a, b, p)
         if len(a) > 1:
             return False
     return True
 
 
+def _irreducible_binomials(p: int, n: int) -> Iterator[int]:
+    # the c, ascending, with x^n + c irreducible over Z/p for n >= 2
+    # (Lidl and Niederreiter, Finite Fields, Thm 3.75): every prime r | n
+    # divides p - 1 and -c is no r-th power, and p = 1 mod 4 when 4 | n
+    rs = factorize(n)
+    if all((p - 1) % r == 0 for r in rs) and (n % 4 or p % 4 == 1):
+        yield from (c for c in range(1, p) if all(pow(-c, (p - 1) // r, p) != 1 for r in rs))
+
+
 def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over Z/p,
-    ordering candidates by coefficients read from degree n-1 down to 0.
+    ordering candidates by coefficients read from degree n-1 down to 0:
+    the binomials x^n + c by arithmetic, then a base-p counter by Ben-Or.
 
     Returns coefficients lowest degree first, e.g. (1, 1, 1) for the
     polynomial x^2 + x + 1.
@@ -254,10 +255,13 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
-    for f in _monic_polys(p, n):
-        if is_irreducible(f, p):
-            return f
-    raise InvariantViolation("irreducible polynomials exist for every degree")
+    if n == 1:
+        return (0, 1)
+    c = next(_irreducible_binomials(p, n), 0)
+    if c:
+        return (c,) + (0,) * (n - 1) + (1,)
+    candidates = ([k // p**i % p for i in range(n)] + [1] for k in count(p))
+    return tuple(next(f for f in candidates if is_irreducible(f, p)))
 
 
 def companion_matrix(f: Sequence[int]) -> IntMatrix:

@@ -7,6 +7,7 @@ Leibniz sum that ``_sweep._batch_det`` replaced, and the pure-Python
 element loops that the numpy grid of ``oracle.brute_fixed_points`` and
 ``oracle.twisted_class_count`` replaced, and the three-pass a/b/c
 decomposition that the one-scan ``decomposition.abc_decompose``
+replaced, and the plain irreducible search that ``spectra.find_irreducible``
 replaced."""
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from reidemeister.oracle import (
     _check_order,
     canonical_parameters,
 )
+from reidemeister.spectra import is_irreducible
 
 
 def enumerate_endomorphisms(
@@ -301,3 +303,16 @@ def _depths(n: int, blocks: tuple[Block, ...]) -> tuple[int, ...]:
         else:
             d[i] = d[i - 1] + 1
     return tuple(d)
+
+
+def monic_polys(p: int, degree: int) -> Iterator[tuple[int, ...]]:
+    """Every monic of the given degree over Z/p, lowest degree first,
+    ascending in (c_{degree-1}, ..., c_0), the last varying fastest."""
+    for high_first in product(range(p), repeat=degree):
+        yield high_first[::-1] + (1,)
+
+
+def plain_find_irreducible(p: int, n: int) -> tuple[int, ...]:
+    """The first monic of degree n, in ``monic_polys`` order, that Ben-Or's
+    ``spectra.is_irreducible`` accepts: the binomials x^n + c included."""
+    return next(f for f in monic_polys(p, n) if is_irreducible(f, p))

@@ -39,6 +39,25 @@ def test_every_error_class_has_a_raiser():
     assert sorted(classes - raised) == ["ReidemeisterError"]
 
 
+def test_every_private_helper_has_a_caller():
+    # a module-level _name function or class that nothing in the package
+    # refers to, other than its own body, is code with no caller: it moves
+    # to tests/reference.py or goes
+    defined, referenced = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_"):
+                defined.append(f"{path.name}:{top.name}")
+                names.discard(top.name)
+            referenced |= names
+    assert len(defined) > 50
+    assert [name for name in defined if name.split(":")[1] not in referenced] == []
+
+
 def test_cli_main_handles_only_the_base_error_and_exception():
     # exit codes 2-5 and 7 come from the error classes, not from a list in main
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))

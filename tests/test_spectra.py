@@ -30,9 +30,10 @@ from reidemeister import (
     witness,
     witness_abelian,
 )
-from reidemeister.spectra import _fill, _r_pi_exponents, is_irreducible
+from reidemeister.core import PRIMALITY_LIMIT, is_prime
+from reidemeister.spectra import _fill, _irreducible_binomials, _r_pi_exponents, is_irreducible
 
-from reference import enumerate_automorphisms, scale
+from reference import enumerate_automorphisms, plain_find_irreducible, scale
 
 
 def brute_pi(em):
@@ -234,8 +235,9 @@ def test_find_irreducible_is_lexicographically_first():
     # x^3+x^2+1 is also irreducible but lexicographically later
     assert is_irreducible((1, 0, 1, 1), 2)
     # the first monic, by reversed coefficients, that no product of two
-    # lower-degree monics reaches
-    for p in (2, 3, 5):
+    # lower-degree monics reaches; p = 7 and 13 have irreducible binomials
+    # of degree 3, and 13 = 1 mod 4 of degree 4
+    for p in (2, 3, 5, 7, 13):
         for n in (2, 3, 4):
             assert find_irreducible(p, n) == _first_irreducible_by_sieve(p, n), (p, n)
 
@@ -269,12 +271,43 @@ def test_is_irreducible_matches_trial_division():
                     assert is_irreducible(f, p) == _irreducible_by_trial_division(f, p), (f, p)
 
 
+def test_is_irreducible_needs_a_unit_leading_coefficient():
+    for f in ((1, 7), (1, 0, 14)):
+        with pytest.raises(ValueError):
+            is_irreducible(f, 7)
+
+
+def test_find_irreducible_matches_the_plain_search():
+    # the plain search runs Ben-Or on every binomial x^n + c before x^n + x
+    small = [(p, n) for p in range(2, 100) if is_prime(p) for n in range(1, 5)]
+    for p, n in small + [(p, n) for p in (2, 3, 5, 7) for n in (5, 6)]:
+        assert find_irreducible(p, n) == plain_find_irreducible(p, n), (p, n)
+
+
+def test_binomial_rule_matches_ben_or():
+    # Lidl and Niederreiter's rule against Ben-Or on every x^n + c, c a unit
+    families = {True: 0, False: 0}
+    for p in (q for q in range(2, 44) if is_prime(q)):
+        for n in range(2, 9 if p < 11 else 7):
+            binomials = {c: (c,) + (0,) * (n - 1) + (1,) for c in range(1, p)}
+            expected = [c for c, f in binomials.items() if is_irreducible(f, p)]
+            assert list(_irreducible_binomials(p, n)) == expected, (p, n)
+            families[bool(expected)] += 1
+    assert families[True] and families[False]
+
+
 def test_find_irreducible_large_degree_is_fast():
-    # trial division would try up to 7^8 monic divisors per candidate
+    # trial division would try up to 7^8 monic divisors per candidate, and
+    # Ben-Or on every binomial p tests where none is irreducible: degrees
+    # 3, 5, 6 and 7 at 65537 = 2^16 + 1, and every degree but 2 at 999983
+    largest = PRIMALITY_LIMIT - 168
+    assert is_prime(largest) and not any(is_prime(q) for q in range(largest + 1, PRIMALITY_LIMIT))
+    cases = [(7, 16)] + [(p, n) for p in (65537, 999983, largest) for n in range(2, 9)]
     start = time.perf_counter()
-    f = find_irreducible(7, 16)
+    found = {(p, n): find_irreducible(p, n) for p, n in cases}
     assert time.perf_counter() - start < 5
-    assert len(f) == 17 and f[-1] == 1 and is_irreducible(f, 7)
+    for (p, n), f in found.items():
+        assert len(f) == n + 1 and f[-1] == 1 and is_irreducible(f, p), (p, n)
 
 
 def test_companion_matrix_forms():
