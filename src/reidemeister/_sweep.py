@@ -11,11 +11,11 @@ contiguous rows of B entries, and the per-object loops read matrix b as
 codes, a row of |A| elements per matrix.
 
 p | M_ij when e_i > e_j, so mod p a canonical matrix M is block upper
-triangular over the runs of equal exponents (Hillar and Rhea, Amer.
-Math. Monthly 2007): it is invertible exactly when each diagonal block
-B is, and the residues of the block entries, the residue pattern,
-decide that.  The walk keeps each pattern whose blocks have a unit
-determinant mod p and adds every value of the other, free, digits.
+triangular over the runs of equal exponents, ``g.runs`` (Hillar and
+Rhea, Amer. Math. Monthly 2007): it is invertible exactly when each
+diagonal block B is, and the residues of the block entries, the residue
+pattern, decide that.  The walk keeps each pattern whose blocks have a
+unit determinant mod p and adds every value of the other, free, digits.
 kM - I has the same shape, so |Fix(kM)| = 1 exactly when every k*B - I
 is invertible mod p.  A multiplier k is live for a pattern when some
 k*B - I is singular, that is when 1/k is an eigenvalue of B mod p.
@@ -24,7 +24,8 @@ takes k = 1/r from each block r, otherwise it tests every k, which finds
 the live k of the 1x1 blocks too.  A pattern has at most n live
 multipliers, every other k has exponent 0, and ``_fix_exponents`` runs
 on the live (row, k) pairs only.  The rows walked are checked against
-the Hillar-Rhea count.
+the Hillar-Rhea count.  Index digits come from ``np.unravel_index``,
+which needs intp to hold the index space: ``batchable`` ensures it.
 
 All arithmetic stays exact: ``_product_bound`` bounds every intermediate
 of the stages, ``_stack_dtype`` picks int32 or int64 stacks from it,
@@ -204,31 +205,22 @@ def _batch_det(mats: np.ndarray) -> np.ndarray:
     return minors[tuple(range(n))].astype(np.int64, copy=False)
 
 
-def _invertible_mod_p(mats: np.ndarray, exps, p: int) -> np.ndarray:
-    """Per matrix of an (n, n, B) stack: invertible mod p, given p | M_ij when exps[i] > exps[j]."""
-    exps = np.asarray(exps)
-    ok = np.ones(_batch(mats, len(exps)), dtype=bool)
-    for v in np.unique(exps):
-        idx = np.flatnonzero(exps == v)
-        block = mats[idx[:, None], idx]  # an (m, m, B) copy, reduced in place
-        _reduce(block, p, out=block)
-        ok &= _reduce(_batch_det(block), p) != 0
+def _invertible_mod_p(mats: np.ndarray, g: PGroupType) -> np.ndarray:
+    """Per matrix of an (n, n, B) stack with p | M_ij when e_i > e_j: invertible
+    mod p, by the determinant of each block mats[lo:hi, lo:hi], (lo, hi) in g.runs."""
+    ok = np.ones(_batch(mats, g.n), dtype=bool)
+    for lo, hi in g.runs:
+        ok &= _reduce(_batch_det(_reduce(mats[lo:hi, lo:hi], g.p)), g.p) != 0
     return ok
 
 
-def _weights(radices) -> np.ndarray:
-    """Place values of a mixed-radix number whose last digit varies fastest."""
-    weights = np.ones(len(radices), dtype=np.int64)
-    for k in range(len(radices) - 2, -1, -1):
-        weights[k] = weights[k + 1] * radices[k + 1]
-    return weights
-
-
 def _decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
-    """Map endomorphism indices to an (n, n, B) stack of canonical matrices, in int64."""
-    strides, counts = np.asarray(strides, dtype=np.int64), np.asarray(counts, dtype=np.int64)
-    params = (indices[None, :] // _weights(counts)[:, None]) % counts[:, None]
-    return (params * strides[:, None]).reshape(n, n, len(indices))
+    """Map endomorphism indices to an (n, n, B) int64 stack of canonical matrices, their
+    digits in radix ``counts`` by ``np.unravel_index``; ``batchable`` fits them in 64-bit intp."""
+    if len(counts) == 0:  # the trivial group: numpy takes no index array over no dims
+        return np.zeros((0, 0, len(indices)), dtype=np.int64)
+    params = np.stack(np.unravel_index(indices, counts))
+    return (params * np.asarray(strides, dtype=np.int64)[:, None]).reshape(n, n, len(indices))
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +392,7 @@ def _structure_ok(mats: np.ndarray, g: PGroupType) -> np.ndarray:
     for k, divisor in sub._divisors:
         ok &= _reduce(c[divmod(k, n)], divisor) == 0
     # d(e) is characteristic, so sub.e is nondecreasing and the loop above gives p | M_ij
-    ok &= _invertible_mod_p(c, sub.e, p)
+    ok &= _invertible_mod_p(c, sub)
     for j in [blk.start for blk in dec.blocks if blk.kind != "a"]:  # b/c-block starts
         col = _reduce(c[:, j], p)
         ok &= col[j] != 0
@@ -488,14 +480,14 @@ def _live(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray | None, np.ndarra
     1x1, a block r makes only r^{-1} live; otherwise every k is tested,
     which covers the 1x1 blocks too."""
     p, every = g.p, np.arange(_batch(mats, g.n))
-    if len(set(g.e)) == g.n:
+    if len(g.runs) == g.n:
         inverses = [_inverse_mod_p(_reduce(mats[i, i], p), p) for i in range(g.n)]
         if g.n == 1:  # r^{-1} is the one live k of each row
             return None, inverses[0]
         codes = [every * p + ks for ks in inverses]
     else:
         eye = np.eye(g.n, dtype=mats.dtype)[:, :, None]
-        codes = [every[~_invertible_mod_p(k * mats - eye, g.e, p)] * p + k for k in range(1, p)]
+        codes = [every[~_invertible_mod_p(k * mats - eye, g)] * p + k for k in range(1, p)]
     rows, ks = np.divmod(np.unique(np.concatenate(codes or [every[:0]])), p)
     return (None if np.array_equal(rows, every) else rows), ks
 
@@ -518,7 +510,7 @@ def _automorphisms(g: PGroupType, cap: int) -> Iterator[tuple[np.ndarray, tuple]
     per = cap // free_inner.shape[2]  # kept patterns per chunk
     for _, length, shift in patterns:
         block = pattern_inner[:, :, :length] + shift
-        kept = np.compress(_invertible_mod_p(block, g.e, g.p), block, axis=2)
+        kept = np.compress(_invertible_mod_p(block, g), block, axis=2)
         for first in range(0, kept.shape[2], per):
             group = kept[:, :, first : first + per]
             live, ks = _live(group, g)
@@ -554,7 +546,7 @@ def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
     the structure by ``restrict`` plus ``_column_reports``."""
     indices = _sample_indices(total, SWEEP_SAMPLES)
     mats = _decode(indices, *canonical_parameters(g), g.n).astype(_stack_dtype(g))
-    amask = _invertible_mod_p(mats, g.e, g.p)
+    amask = _invertible_mod_p(mats, g)
     autos = np.compress(amask, mats, axis=2)
     r_exp, pi_exp = _exponents(autos, _live(autos, g), g)
     rows = zip(r_exp.tolist(), pi_exp.tolist(), _structure_ok(autos, g).tolist())
@@ -613,7 +605,7 @@ def _coordinate_codes(a_i: np.ndarray, g: PGroupType, i: int) -> np.ndarray:
         term = _reduce(a_i[j][:, None] * np.arange(mj, dtype=a_i.dtype), m)
         codes = codes + term.reshape((-1,) + (1,) * j + (mj,) + (1,) * (n - 1 - j))
     _reduce(codes, m, out=codes)
-    codes *= int(_weights(g.moduli)[i])
+    codes *= math.prod(g.moduli[i + 1 :])
     return codes.reshape(len(codes), -1)
 
 
@@ -654,7 +646,7 @@ def _element_counts(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.nda
     if n == 0:  # the trivial group: one element, fixed
         return np.ones(batch, dtype=np.int32), np.ones(batch, dtype=np.int32)
     strides, counts = canonical_parameters(g)
-    first = int(mats[n - 1, :, 0] // strides[-n:] @ _weights(counts[-n:]))
+    first = int(np.ravel_multi_index(mats[n - 1, :, 0] // strides[-n:], counts[-n:]))
     rows = min(batch, order)
     if batch % rows or first + rows > order or batch * order >= 2**31:
         raise InvariantViolation(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import Sequence
 
 from .core import IntMatrix
@@ -84,17 +83,16 @@ class BlockDecomposition:
 @lru_cache(maxsize=256)
 def abc_decompose(g: PGroupType) -> BlockDecomposition:
     """Split the type vector into a/b/c blocks and compute d(e), in one
-    scan over the runs of equal exponents."""
-    e = g.e
-    runs = [(v, len(list(run))) for v, run in groupby(e)]
+    scan over its runs of equal exponents, ``g.runs``."""
+    e, runs = g.e, g.runs
     blocks: list[Block] = []
     d: list[int] = []
-    k = start = depth = 0
+    k = depth = 0
     while k < len(runs):
-        v, length = runs[k]
-        if length > 1:
-            kind, size = "a", length
-        elif k + 1 < len(runs) and runs[k + 1] == (v + 1, 1):
+        start, end = runs[k]
+        if end - start > 1:
+            kind, size = "a", end - start
+        elif k + 1 < len(runs) and runs[k + 1] == (end, end + 1) and e[end] == e[start] + 1:
             kind, size = "b", 2
         else:
             kind, size = "c", 1
@@ -102,7 +100,6 @@ def abc_decompose(g: PGroupType) -> BlockDecomposition:
             depth += 1
         blocks.append(Block(kind, start, e[start : start + size]))
         d += [depth] * size
-        start += size
         k += 2 if kind == "b" else 1
     counts = [sum(blk.kind == kind for blk in blocks) for kind in "abc"]
     return BlockDecomposition(e, tuple(blocks), *counts, tuple(d))

@@ -46,7 +46,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PGroupType:
-    """A prime p and nondecreasing exponent vector e; n = 0 is trivial."""
+    """A prime p and nondecreasing exponent vector e; n = 0 is trivial.
+    ``runs`` are the [lo, hi) index ranges of its equal exponents."""
 
     p: int
     e: tuple[int, ...] = ()
@@ -76,6 +77,11 @@ class PGroupType:
     @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(self.p**v for v in self.e)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        starts = [i for i in range(self.n) if i == 0 or self.e[i - 1] < self.e[i]]
+        return tuple(zip(starts, starts[1:] + [self.n]))
 
     @cached_property
     def _divisors(self) -> tuple[tuple[int, int], ...]:

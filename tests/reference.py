@@ -7,8 +7,9 @@ Leibniz sum that ``_sweep._batch_det`` replaced, and the pure-Python
 element loops that the numpy grid of ``oracle.brute_fixed_points`` and
 ``oracle.twisted_class_count`` replaced, and the three-pass a/b/c
 decomposition that the one-scan ``decomposition.abc_decompose``
-replaced, and the plain irreducible search that ``spectra.find_irreducible``
-replaced."""
+replaced, the plain irreducible search that ``spectra.find_irreducible``
+replaced, and the place-value decode that ``np.unravel_index`` replaced
+in ``_sweep._decode``."""
 
 from __future__ import annotations
 
@@ -54,6 +55,22 @@ def enumerate_automorphisms(
     for em in enumerate_endomorphisms(g, budget):
         if is_automorphism(em):
             yield em
+
+
+def weights(radices) -> np.ndarray:
+    """Place values of a mixed-radix number whose last digit varies fastest."""
+    values = np.ones(len(radices), dtype=np.int64)
+    for k in range(len(radices) - 2, -1, -1):
+        values[k] = values[k + 1] * radices[k + 1]
+    return values
+
+
+def weights_decode(indices: np.ndarray, strides, counts, n: int) -> np.ndarray:
+    """Map endomorphism indices to an (n, n, B) stack of canonical matrices,
+    in int64, digit by digit: (index // place value) % radix."""
+    strides, counts = np.asarray(strides, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    params = (indices[None, :] // weights(counts)[:, None]) % counts[:, None]
+    return (params * strides[:, None]).reshape(n, n, len(indices))
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:

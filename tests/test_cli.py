@@ -356,8 +356,12 @@ def test_budget_env_override(capsys, monkeypatch):
 
 
 def test_non_positive_budget_is_parse_error(capsys, monkeypatch):
-    code, out, err = run(capsys, "verify", "-p", "2", "--max-endos", "0")
-    assert code == 2 and err.startswith("parse error: ") and out == ""
+    for argv in (
+        ["verify", "-p", "2", "--max-endos", "0"],
+        ["atlas", "--max-order", "0", "--out", "-"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("parse error: ") and out == "", argv
     monkeypatch.setenv("REIDEMEISTER_BUDGET", "0")
     code, out, err = run(capsys, "verify", "-p", "2")
     assert code == 2 and err.startswith("parse error: ") and out == ""

@@ -306,6 +306,8 @@ def test_intmatrix_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch, match="negative shape"):
+        IntMatrix(-1, 0)
 
 
 def test_intmatrix_matmul():
@@ -352,6 +354,8 @@ def test_lattice_index_matches_smith_product(mat):
 def test_block_diagonal():
     m = IntMatrix.block_diagonal([parse_matrix("2"), parse_matrix("0,1;1,0")])
     assert m.to_rows() == [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
+    with pytest.raises(DimensionMismatch, match="square blocks"):
+        IntMatrix.block_diagonal([parse_matrix("2"), parse_matrix("1,2")])
 
 
 # -- Factored ----------------------------------------------------------------
@@ -406,6 +410,8 @@ def test_factorize_matches_trial_division():
         assert got == trial_division(n), n
         assert list(got) == sorted(got)
         assert is_prime(n) == (got == {n: 1})
+    with pytest.raises(ValueError, match="non-positive"):
+        factorize(0)
 
 
 def test_miller_rabin_rejects_strong_pseudoprimes():

@@ -19,6 +19,7 @@ from reidemeister import (
     fixed_point_count,
     is_automorphism,
     is_valid_endo,
+    iter_types,
     parse_matrix,
     reidemeister_number,
     validate_type,
@@ -54,11 +55,27 @@ def test_validate_type_errors():
         validate_type(4, (1,))
     with pytest.raises(NonPositiveExponent):
         validate_type(2, (0, 1))
+    with pytest.raises(NonPositiveExponent):
+        PGroupType(2, (0,))
 
 
 def test_pgrouptype_requires_nondecreasing():
     with pytest.raises(ValueError):
         PGroupType(2, (3, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_runs_are_the_groupby_runs(p):
+    # the [lo, hi) index ranges of equal exponents that the sweep and
+    # abc_decompose read, against itertools.groupby on every type of
+    # order up to 2^10, the trivial one included: the partitions of 0 .. 10
+    # at p = 2 and of 0 .. 6 at p = 3
+    types = list(iter_types(p, max_order=2**10))
+    assert PGroupType(p, ()) in types and len(types) == {2: 139, 3: 30}[p]
+    for g in types:
+        ends = list(itertools.accumulate(len(list(run)) for _, run in itertools.groupby(g.e)))
+        assert g.runs == tuple(zip([0] + ends[:-1], ends)), g
+    assert PGroupType(p, ()).runs == ()
 
 
 def test_type_spec_roundtrip():

@@ -53,6 +53,8 @@ from reference import (
     loop_fixed_points,
     loop_twisted_class_count,
     scale,
+    weights,
+    weights_decode,
 )
 
 
@@ -93,6 +95,35 @@ def test_decode_matches_enumeration_order(g):
     mats = _sweep._decode(np.arange(total, dtype=np.int64), *canonical_parameters(g), g.n)
     decoded = [tuple(int(v) for v in mats[:, :, b].ravel()) for b in range(total)]
     assert decoded == [em.m.entries for em in enumerate_endomorphisms(g)]
+
+
+SWEEP_N3_CELLS = [g for p in (2, 3, 5) for g in iter_types(p, max_endos=2**20) if g.n <= 3]
+
+
+def test_decode_matches_the_place_value_reference():
+    # every cell with n <= 3 that verify sweeps at the default primes and
+    # budget, the trivial ones with no digits included: its canonical
+    # parameter space, and the pattern (radix 1 or p) and free spaces of
+    # _automorphisms, with the radices as a list and as an array.  The
+    # first 512 indices, an even spread of 512 and the last one
+    assert len(SWEEP_N3_CELLS) == 140 and PGroupType(2, ()) in SWEEP_N3_CELLS
+    for g in SWEEP_N3_CELLS:
+        strides, counts = canonical_parameters(g)
+        radix = [g.p if ei == ej else 1 for ei in g.e for ej in g.e]
+        spaces = [
+            (strides, counts),
+            ([1] * g.n**2, radix),
+            ([s * r for s, r in zip(strides, radix)], [c // r for c, r in zip(counts, radix)]),
+        ]
+        for strides, counts in spaces:
+            total = prod(counts)
+            first, spread = np.arange(min(total, 512)), _sweep._sample_indices(total, 512)
+            indices = np.unique(np.concatenate([first, spread, [total - 1]]).astype(np.int64))
+            expected = weights_decode(indices, strides, counts, g.n)
+            for radices in (list(counts), np.array(counts, dtype=np.int64)):
+                decoded = _sweep._decode(indices, strides, radices, g.n)
+                assert decoded.dtype == np.int64 and decoded.shape == (g.n, g.n, len(indices))
+                assert np.array_equal(decoded, expected), g
 
 
 def test_enumerate_automorphism_counts():
@@ -604,7 +635,7 @@ def test_walk_is_carry_free(g, cap):
     visits = np.zeros(total, dtype=np.int64)
     walked = []
     for mats, positions in _sweep._walk(g, total, _sweep.SWEEP_SAMPLES, cap):
-        start = int(_sweep._weights(counts) @ (mats[:, :, 0].reshape(-1) // strides))
+        start = int(weights(counts) @ (mats[:, :, 0].reshape(-1) // strides))
         stop = start + mats.shape[2]
         expected = _sweep._decode(np.arange(start, stop, dtype=np.int64), strides, counts, g.n)
         assert np.array_equal(mats, expected)
@@ -636,7 +667,7 @@ def test_walk_chunks_are_whole_blocks_or_inside_one(g, cap):
     strides, counts = (np.array(v, dtype=np.int64) for v in canonical_parameters(g))
     kinds = set()
     for mats, _ in _sweep._walk(g, total, 1, cap):
-        start = int(_sweep._weights(counts) @ (mats[:, :, 0].reshape(-1) // strides))
+        start = int(weights(counts) @ (mats[:, :, 0].reshape(-1) // strides))
         length = mats.shape[2]
         whole = start % order == 0 and length % order == 0
         inside = start // order == (start + length - 1) // order
@@ -793,7 +824,7 @@ def test_automorphism_walk_is_the_filtered_endomorphisms(g, cap):
     total = endomorphism_count(g)
     expected = Counter()
     for mats, _ in _sweep._walk(g, total, 1, 8192):
-        expected += _multiset(mats[:, :, _sweep._invertible_mod_p(mats, g.e, g.p)])
+        expected += _multiset(mats[:, :, _sweep._invertible_mod_p(mats, g)])
     chunks = [rows for rows, _ in _sweep._automorphisms(g, cap)]
     assert all(r.flags.c_contiguous and r.shape[:2] == (g.n, g.n) for r in chunks)
     assert len(chunks) > 1 or g.n == 0
@@ -896,10 +927,10 @@ def test_live_multipliers_need_at_most_n_eliminations_per_automorphism(monkeypat
     assert r_hist.tolist() == [(g.p - 2) * g.p, g.p - 1, 1]
 
 
-def _full_det_invertible(mats, exps, p):
+def _full_det_invertible(mats, g):
     # reference: the n x n determinant mod p of an (n, n, B) stack,
     # ignoring the block structure
-    return leibniz_det(mats % p) % p != 0
+    return leibniz_det(mats % g.p) % g.p != 0
 
 
 @pytest.mark.parametrize(
@@ -921,9 +952,9 @@ def test_run_block_invertibility_matches_full_determinant(g, monkeypatch):
     total = endomorphism_count(g)
     blocks, full, structure, structure_full = [], [], [], []
     for mats, positions in _sweep._walk(g, total, 2**14, 8192):
-        amask = _sweep._invertible_mod_p(mats, g.e, g.p)
+        amask = _sweep._invertible_mod_p(mats, g)
         blocks.append(amask)
-        full.append(_full_det_invertible(mats, g.e, g.p))
+        full.append(_full_det_invertible(mats, g))
         for pos in positions:
             assert bool(amask[pos]) == is_automorphism(_sweep._to_endo(g, mats[:, :, pos]))
         structure.append(_sweep._structure_ok(mats, g))
@@ -1216,7 +1247,7 @@ def test_stages_are_exact_on_both_sides_of_the_int32_rule(g, dtype):
     stack = np.concatenate(rows, axis=2)
     assert stack.shape[2] == 160
     ems = [_sweep._to_endo(g, stack[:, :, b]) for b in range(160)]
-    amask = _sweep._invertible_mod_p(stack, g.e, g.p)
+    amask = _sweep._invertible_mod_p(stack, g)
     assert amask.tolist() == [is_automorphism(em) for em in ems]
     assert amask.any() and not amask.all()
     for k in range(1, g.p):
@@ -1236,7 +1267,7 @@ def test_block_determinants_accumulate_in_int64():
     mats[0] = g.p - 1
     mats[1] = np.eye(3, dtype=np.int32) * (g.p - 1)
     assert _sweep._batch_det(mats[:2].transpose(1, 2, 0)).tolist() == [0, (g.p - 1) ** 3]
-    amask = _sweep._invertible_mod_p(mats.transpose(1, 2, 0), g.e, g.p)
+    amask = _sweep._invertible_mod_p(mats.transpose(1, 2, 0), g)
     assert amask.tolist() == [is_automorphism(_sweep._to_endo(g, m)) for m in mats]
 
 
@@ -1274,7 +1305,7 @@ def test_stages_refuse_a_batch_first_stack():
         lambda mats: _sweep._fix_exponents(mats, g, 1),
         lambda mats: _sweep._structure_ok(mats, g),
         lambda mats: _sweep._live(mats, g),
-        lambda mats: _sweep._invertible_mod_p(mats, g.e, g.p),
+        lambda mats: _sweep._invertible_mod_p(mats, g),
         lambda mats: _sweep._element_counts(mats, g),
     ]
     identity = np.eye(3, dtype=np.int32)[None]
@@ -1366,6 +1397,8 @@ def test_iter_types_by_order():
     assert PGroupType(2, (3,)) in types
     assert all(g.order <= 8 for g in types)
     assert len(types) == 1 + 1 + 2 + 3  # orders 1, 2, 4, 8
+    with pytest.raises(ValueError, match="at least one of"):
+        list(iter_types(2))
 
 
 def test_iter_types_by_endo_budget():

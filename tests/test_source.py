@@ -2,11 +2,16 @@
 
 import ast
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import reidemeister
+
+from mutants import MUTANTS
 
 SRC = Path(reidemeister.__file__).parent
 
@@ -112,6 +117,21 @@ def test_benchmark_oracle_spans_name_functions_of_the_oracle():
     assert set(traced) <= set(_functions("oracle.py"))
 
 
+def test_every_traced_name_is_a_function_of_its_module():
+    # perfbench patches each TRACED (module, function) by name, and a name
+    # its module no longer defines reads 0 in both per-layer metrics of
+    # the span instead of failing.  The one stale entry allowed is
+    # core.smith_invariants, which has left the package: its entry goes
+    # with the next change to the benchmark
+    traced = ast.literal_eval(_spans_assignments()["TRACED"])
+    stale = [
+        f"{module}.{fn}"
+        for module, fn in traced
+        if fn not in _functions(module.removeprefix("reidemeister.") + ".py")
+    ]
+    assert len(traced) > 10 and stale == ["reidemeister.core.smith_invariants"]
+
+
 def _referenced_names(tree):
     # every name, attribute and imported module or name below an AST node
     for node in ast.walk(tree):
@@ -161,3 +181,30 @@ def test_unregistered_marker_fails_collection(tmp_path):
     )
     assert proc.returncode != 0
     assert "'slw' not found in `markers`" in proc.stdout
+
+
+@pytest.mark.slow
+def test_every_mutant_is_killed(tmp_path):
+    # each mutant of tests/mutants.py alone, in its own copy of the
+    # package: the named tests run in a subprocess with the copy first on
+    # sys.path (-o pythonpath= drops the src/ that pyproject.toml adds),
+    # and each must fail, not merely error
+    root, survivors = Path(__file__).resolve().parents[1], []
+    for index, (name, (module, old, new, node_ids)) in enumerate(MUTANTS.items()):
+        copy = tmp_path / str(index)
+        shutil.copytree(SRC, copy / "reidemeister", ignore=shutil.ignore_patterns("__pycache__"))
+        target = copy / "reidemeister" / module
+        text = target.read_text(encoding="utf-8")
+        assert text.count(old) == 1, f"{name}: {old!r} is in {module} {text.count(old)} times"
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             "-o", "pythonpath=", *node_ids],
+            cwd=root, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(copy), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+        alive = [n for n in node_ids if not any(f == n or f.startswith(n + "[") for f in failed)]
+        if proc.returncode != 1 or alive:
+            survivors.append((name, proc.returncode, alive))
+    assert survivors == []

@@ -10,6 +10,7 @@ from reidemeister import (
     IntMatrix,
     InvariantViolation,
     NotAutomorphism,
+    NotPrime,
     OutOfSpectrum,
     PGroupType,
     Spectrum,
@@ -194,6 +195,10 @@ def test_find_irreducible_examples():
     assert find_irreducible(2, 2) == (1, 1, 1)  # x^2 + x + 1
     assert find_irreducible(3, 1) == (0, 1)  # x
     assert find_irreducible(2, 3) == (1, 1, 0, 1)  # x^3 + x + 1
+    with pytest.raises(NotPrime):
+        find_irreducible(4, 2)
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        find_irreducible(2, 0)
 
 
 def test_find_irreducible_no_roots_and_no_low_degree_factor():
