@@ -59,7 +59,6 @@ from .errors import (
 )
 from .oracle import (
     DEFAULT_BUDGET,
-    EnumBudget,
     brute_fixed_points,
     endomorphism_count,
     iter_partitions,

@@ -59,7 +59,6 @@ from .decomposition import _column_reports, _subgroup_type, abc_decompose, restr
 from .endo import EndoMatrix, PGroupType, fixed_point_count, is_automorphism
 from .errors import BudgetExceeded, InvariantViolation
 from .oracle import (
-    _check_endo_budget,
     _check_order,
     _hillar_rhea_aut_count,
     brute_fixed_points,
@@ -113,8 +112,10 @@ def _reduce(a: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
     return np.subtract(a, q, out=out)
 
 
-def _check_cell(g: PGroupType, budget) -> int:
-    total = _check_endo_budget(g, budget)
+def _check_cell(g: PGroupType, budget: int) -> int:
+    total = endomorphism_count(g)
+    if total > budget:
+        raise BudgetExceeded(f"{total} endomorphisms of {g} exceed the cap {budget}")
     if not batchable(g):
         raise BudgetExceeded(f"cell {g} exceeds the int64 bounds of the batched engine")
     return total
@@ -563,7 +564,7 @@ def _recheck_samples(g: PGroupType, total: int) -> tuple[int, bool]:
 
 
 @lru_cache(maxsize=256)
-def sweep_cell(g: PGroupType, budget) -> CellReport:
+def sweep_cell(g: PGroupType, budget: int) -> CellReport:
     """Sweep every automorphism of the cell; see the module docstring."""
     total = _check_cell(g, budget)
     top = g.total_exponent
@@ -671,7 +672,7 @@ def _element_counts(mats: np.ndarray, g: PGroupType) -> tuple[np.ndarray, np.nda
 
 
 @lru_cache(maxsize=64)
-def triple_check(g: PGroupType, budget) -> TripleReport:
+def triple_check(g: PGroupType, budget: int) -> TripleReport:
     """Compare the three fixed-point counting routes over every canonical
     endomorphism of the cell at the element level."""
     total = _check_cell(g, budget)

@@ -20,7 +20,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 
 from . import _sweep
@@ -35,7 +34,7 @@ from .endo import (
     validate_type,
 )
 from .errors import BudgetExceeded, GroupSpecError, InvariantViolation, ReidemeisterError
-from .oracle import DEFAULT_BUDGET, EnumBudget, iter_partitions, iter_types
+from .oracle import DEFAULT_BUDGET, iter_partitions, iter_types
 from .spectra import (
     AbelianGroupType,
     product_number,
@@ -50,8 +49,6 @@ from .spectra import (
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_UNWRITABLE = 6
-
-BUDGET_ENV = "REIDEMEISTER_BUDGET"
 
 
 # -- input parsing ----------------------------------------------------------
@@ -85,20 +82,6 @@ def _parse_ptype(tokens: list[str], default_p: int | None = None) -> PGroupType:
     if len(sylow) != 1:
         raise GroupSpecError(f"{text!r} is not a p-group")
     return next(iter(sylow.values()))
-
-
-def _resolve_budget(args: argparse.Namespace) -> EnumBudget:
-    """The defaults, overridden by the environment, then by --max-endos."""
-    raw = os.environ.get(BUDGET_ENV, "").strip()
-    try:
-        max_endos = int(raw) if raw else DEFAULT_BUDGET.max_endos
-        if args.max_endos is not None:
-            max_endos = args.max_endos
-        return EnumBudget(max_endos)
-    except ValueError as exc:
-        raise GroupSpecError(
-            f"bad budget ({BUDGET_ENV}='MAX_ENDOS' or --max-endos): {exc}"
-        ) from exc
 
 
 # -- rendering --------------------------------------------------------------
@@ -208,7 +191,7 @@ def cmd_pi(args: argparse.Namespace) -> int:
 # -- verify -----------------------------------------------------------------
 
 
-def _verify_cell(g: PGroupType, budget: EnumBudget) -> tuple[_sweep.CellReport, dict]:
+def _verify_cell(g: PGroupType, budget: int) -> tuple[_sweep.CellReport, dict]:
     rep = _sweep.sweep_cell(g, budget)
     r_closed = spec_r_2group(g) if g.p == 2 else spec_r_odd_p(g)
     bounds = (abc_decompose(g).floor_exponent, g.total_exponent)
@@ -223,18 +206,19 @@ def _verify_cell(g: PGroupType, budget: EnumBudget) -> tuple[_sweep.CellReport, 
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    budget = _resolve_budget(args)
+    if args.max_endos < 1:
+        raise GroupSpecError("--max-endos must be >= 1")
     primes = args.primes or [2, 3, 5]
     if args.exponents is not None:
         exps = parse_exponents(args.exponents)
         cells = [validate_type(p, exps) for p in primes]
     else:
-        cells = [g for p in primes for g in iter_types(p, max_endos=budget.max_endos)]
+        cells = [g for p in primes for g in iter_types(p, max_endos=args.max_endos)]
 
     results = []
     for g in cells:
         try:
-            rep, checks = _verify_cell(g, budget)
+            rep, checks = _verify_cell(g, args.max_endos)
         except BudgetExceeded as exc:
             results.append({"cell": str(g), "skipped": str(exc)})
             line = f"{g} SKIPPED ({exc})"
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = command("verify", cmd_verify, "closed forms vs exhaustive enumeration")
     vf.add_argument("-p", dest="primes", action="append", type=int, help="prime (repeatable)")
     vf.add_argument("-e", dest="exponents", help="single type to verify, e.g. '1,1'")
-    vf.add_argument("--max-endos", dest="max_endos", type=int)
+    vf.add_argument("--max-endos", dest="max_endos", type=int, default=DEFAULT_BUDGET)
 
     at = command("atlas", cmd_atlas, "spectra of all groups up to an order")
     at.add_argument("--max-order", dest="max_order", type=int, required=True)

@@ -10,7 +10,7 @@ the lattice route and the sweep kernel they validate, by one int64 numpy
 product with the (n, |A|) grid of every element: entries and coordinates
 are below |A| <= 2^14 and n <= 14, so every sum is below 14 * 2^28 < 2^32.
 
-The sweeps' cap on endomorphisms per cell lives in ``EnumBudget``, the
+The sweeps' cap on endomorphisms per cell is ``DEFAULT_BUDGET``, the
 element counts' cap on the group order in ``MAX_GROUP_ORDER``; sweeps
 over whole families of groups are driven by the ``iter_types`` helpers.
 """
@@ -18,7 +18,6 @@ over whole families of groups are driven by the ``iter_types`` helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Factored
@@ -27,7 +26,6 @@ from .errors import BudgetExceeded, InvariantViolation
 from .spectra import Spectrum
 
 __all__ = [
-    "EnumBudget",
     "DEFAULT_BUDGET",
     "MAX_GROUP_ORDER",
     "canonical_parameters",
@@ -40,18 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumBudget:
-    """Cap on the endomorphisms of one cell for exhaustive enumeration."""
-
-    max_endos: int = 2**20
-
-    def __post_init__(self) -> None:
-        if self.max_endos < 1:
-            raise ValueError("budget caps must be positive")
-
-
-DEFAULT_BUDGET = EnumBudget()
+DEFAULT_BUDGET = 2**20  # endomorphisms per cell for the exhaustive sweeps
 MAX_GROUP_ORDER = 2**14  # elements per group for the element counts
 
 
@@ -78,15 +65,6 @@ def _hillar_rhea_aut_count(g: PGroupType) -> int:
         hi = n - e[::-1].index(ek)  # max{l : e_l = e_k}
         lo = e.index(ek) + 1  # min{l : e_l = e_k}
         count *= (p**hi - p ** (k - 1)) * p ** (ek * (n - hi)) * p ** ((ek - 1) * (n - lo + 1))
-    return count
-
-
-def _check_endo_budget(g: PGroupType, budget: EnumBudget) -> int:
-    count = endomorphism_count(g)
-    if count > budget.max_endos:
-        raise BudgetExceeded(
-            f"{count} endomorphisms of {g} exceed the cap {budget.max_endos}"
-        )
     return count
 
 
@@ -128,7 +106,7 @@ def twisted_class_count(em: EndoMatrix) -> int:
 
 
 def oracle_spectrum(
-    g: PGroupType, use_pi: bool = False, budget: EnumBudget = DEFAULT_BUDGET
+    g: PGroupType, use_pi: bool = False, budget: int = DEFAULT_BUDGET
 ) -> Spectrum:
     """Exact set of twisted class counts (or product numbers) over every
     automorphism, computed by exhaustive enumeration."""

@@ -53,4 +53,49 @@ MUTANTS = {
             "tests/test_spectra.py::test_find_irreducible_matches_the_plain_search",
         ],
     ),
+    "the endomorphism cap takes one fewer": (
+        "_sweep.py",
+        "    if total > budget:\n",
+        "    if total >= budget:\n",
+        [
+            "tests/test_oracle.py::test_endo_cap_at_its_edge",
+            "tests/test_cli.py::test_endo_cap_at_its_edge",
+        ],
+    ),
+    "the element kernel takes a stack that is not a run": (
+        "_sweep.py",
+        "if not ((run[n - 1] == last[:, None]).all() and (rest == rest[..., :1]).all()):",
+        "if False:",
+        ["tests/test_oracle.py::test_element_counts_refuse_a_stack_that_is_not_a_run"],
+    ),
+    "the element kernel takes a run across a block boundary": (
+        "_sweep.py",
+        "if batch % rows or first + rows > order or batch * order >= 2**31:",
+        "if batch % rows or batch * order >= 2**31:",
+        ["tests/test_oracle.py::test_element_counts_refuse_a_stack_that_is_not_a_run"],
+    ),
+    "the odd-p witness takes an exponent past S": (
+        "spectra.py",
+        "if m < 0 or m > g.total_exponent:",
+        "if m < 0:",
+        ["tests/test_spectra.py::test_witness_abelian_out_of_spectrum"],
+    ),
+    "the first b- or c-block is one level deep": (
+        "decomposition.py",
+        'if kind != "a" and blocks:',
+        'if kind != "a":',
+        [
+            "tests/test_decomposition.py::test_staircase",
+            "tests/test_decomposition.py::test_one_scan_matches_the_three_passes",
+        ],
+    ),
+    "a b-block needs no adjacent single run": (
+        "decomposition.py",
+        "runs[k + 1] == (end, end + 1) and e[end] == e[start] + 1:",
+        "e[end] == e[start] + 1:",
+        [
+            "tests/test_decomposition.py::test_blocks_partition_and_reassemble",
+            "tests/test_decomposition.py::test_one_scan_matches_the_three_passes",
+        ],
+    ),
 }

@@ -25,22 +25,14 @@ from reidemeister.core import IntMatrix
 from reidemeister.decomposition import Block, BlockDecomposition
 from reidemeister.endo import EndoMatrix, PGroupType, elements, is_automorphism
 from reidemeister.errors import DimensionMismatch, InvariantViolation
-from reidemeister.oracle import (
-    DEFAULT_BUDGET,
-    EnumBudget,
-    _check_endo_budget,
-    _check_order,
-    canonical_parameters,
-)
+from reidemeister.oracle import DEFAULT_BUDGET, _check_order, canonical_parameters
 from reidemeister.spectra import is_irreducible
 
 
-def enumerate_endomorphisms(
-    g: PGroupType, budget: EnumBudget = DEFAULT_BUDGET
-) -> Iterator[EndoMatrix]:
+def enumerate_endomorphisms(g: PGroupType, budget: int = DEFAULT_BUDGET) -> Iterator[EndoMatrix]:
     """Yield one canonical matrix per endomorphism, lexicographically in
     the row-major parameter vector (last coordinate varies fastest)."""
-    _check_endo_budget(g, budget)
+    _sweep._check_cell(g, budget)
     n = g.n
     strides, counts = canonical_parameters(g)
     for params in product(*map(range, counts)):
@@ -48,9 +40,7 @@ def enumerate_endomorphisms(
         yield EndoMatrix(g, IntMatrix(n, n, entries))
 
 
-def enumerate_automorphisms(
-    g: PGroupType, budget: EnumBudget = DEFAULT_BUDGET
-) -> Iterator[EndoMatrix]:
+def enumerate_automorphisms(g: PGroupType, budget: int = DEFAULT_BUDGET) -> Iterator[EndoMatrix]:
     """The subsequence of enumerate_endomorphisms invertible mod p."""
     for em in enumerate_endomorphisms(g, budget):
         if is_automorphism(em):

@@ -50,7 +50,7 @@ def sweep_reports():
     start = time.perf_counter()
     reports = []
     for p in (2, 3, 5):
-        for g in iter_types(p, max_endos=DEFAULT_BUDGET.max_endos):
+        for g in iter_types(p, max_endos=DEFAULT_BUDGET):
             reports.append((g, _sweep.sweep_cell(g, DEFAULT_BUDGET)))
     return reports, time.perf_counter() - start
 
@@ -88,7 +88,7 @@ def test_criterion_2_triple_agreement():
     checked = skipped = 0
     for p in (2, 3):
         for g in iter_types(p, max_order=2**10):
-            if endomorphism_count(g) > DEFAULT_BUDGET.max_endos:
+            if endomorphism_count(g) > DEFAULT_BUDGET:
                 skipped += 1
                 continue
             rep = _sweep.triple_check(g, DEFAULT_BUDGET)

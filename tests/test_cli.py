@@ -297,14 +297,13 @@ def test_verify_budget_skip(capsys):
     assert "SKIPPED" in out
 
 
-def test_verify_skips_cells_outside_int64_bounds(capsys, monkeypatch):
+def test_verify_skips_cells_outside_int64_bounds(capsys):
     # 2^225 endomorphisms: too many indices for int64, whatever the budget
     code, out, err = run(capsys, "verify", "-p", "2", "-e", "9,9,9,9,9", "--max-endos", str(2**300))
     assert code == 0 and err == ""
     assert "p=2 e=9,9,9,9,9 SKIPPED" in out
     # 2^34 endomorphisms fit the budget, but p^{2E} = 2^62 does not fit
-    monkeypatch.setenv("REIDEMEISTER_BUDGET", str(2**40))
-    code, out, err = run(capsys, "verify", "-p", "2", "-e", "1,31")
+    code, out, err = run(capsys, "verify", "-p", "2", "-e", "1,31", "--max-endos", str(2**40))
     assert code == 0 and err == ""
     assert "p=2 e=1,31 SKIPPED" in out
     assert out.splitlines()[-1] == "summary: 1 cells, 0 passed, 0 failed, 1 skipped"
@@ -344,27 +343,37 @@ def test_verify_small_budget_sweep(capsys):
     assert " 0 failed" in out.splitlines()[-1]
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("REIDEMEISTER_BUDGET", "64")
-    code, out, _ = run(capsys, "verify", "-p", "2", "-e", "2,3")
+def test_max_endos_is_the_only_budget_override(capsys, monkeypatch):
+    code, out, _ = run(capsys, "verify", "-p", "2", "-e", "2,3", "--max-endos", "64")
     assert code == 0
     assert "SKIPPED" in out
-    for bad in ("not-a-number", "64,1"):
-        monkeypatch.setenv("REIDEMEISTER_BUDGET", bad)
-        code, _, err = run(capsys, "verify", "-p", "2", "-e", "1")
-        assert code == 2 and "REIDEMEISTER_BUDGET='MAX_ENDOS'" in err
+    # the environment sets no budget: the default cap still sweeps the cell
+    monkeypatch.setenv("REIDEMEISTER_BUDGET", "1")
+    code, out, _ = run(capsys, "verify", "-p", "2", "-e", "2,3")
+    assert code == 0
+    assert "SKIPPED" not in out and " 1 passed" in out.splitlines()[-1]
 
 
-def test_non_positive_budget_is_parse_error(capsys, monkeypatch):
+def test_endo_cap_at_its_edge(capsys):
+    # p=2 e=1,1,4 has exactly 4096 endomorphisms
+    code, out, _ = run(capsys, "verify", "-p", "2", "-e", "1,1,4", "--max-endos", "4096")
+    assert code == 0
+    assert out.splitlines()[-1] == "summary: 1 cells, 1 passed, 0 failed, 0 skipped"
+    code, out, _ = run(capsys, "verify", "-p", "2", "-e", "1,1,4", "--max-endos", "4095")
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "p=2 e=1,1,4 SKIPPED (4096 endomorphisms of p=2 e=1,1,4 exceed the cap 4095)"
+    )
+
+
+def test_non_positive_budget_is_parse_error(capsys):
     for argv in (
         ["verify", "-p", "2", "--max-endos", "0"],
+        ["verify", "-p", "2", "-e", "1", "--max-endos", "-1"],
         ["atlas", "--max-order", "0", "--out", "-"],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and err.startswith("parse error: ") and out == "", argv
-    monkeypatch.setenv("REIDEMEISTER_BUDGET", "0")
-    code, out, err = run(capsys, "verify", "-p", "2")
-    assert code == 2 and err.startswith("parse error: ") and out == ""
 
 
 # -- atlas ------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from reidemeister import (
     BudgetExceeded,
     EndoMatrix,
-    EnumBudget,
     InvariantViolation,
     PGroupType,
     apply,
@@ -138,9 +136,8 @@ def test_trivial_group_enumeration():
 
 
 def test_budget_blocks_enumeration():
-    tiny = EnumBudget(max_endos=10)
     with pytest.raises(BudgetExceeded):
-        list(enumerate_endomorphisms(PGroupType(2, (2, 3)), tiny))
+        list(enumerate_endomorphisms(PGroupType(2, (2, 3)), 10))
     with pytest.raises(BudgetExceeded):
         brute_fixed_points(EndoMatrix.identity(PGroupType(2, (15,))))
     with pytest.raises(BudgetExceeded):
@@ -150,8 +147,6 @@ def test_budget_blocks_enumeration():
 def test_group_order_cap_at_its_edge(monkeypatch):
     # the element loops take order MAX_GROUP_ORDER = 2^14 and refuse 2^15;
     # triple_check refuses before its walk, which the stub stands in for
-    assert [f.name for f in dataclasses.fields(EnumBudget)] == ["max_endos"]
-
     class Walked(Exception):
         pass
 
@@ -172,9 +167,22 @@ def test_group_order_cap_at_its_edge(monkeypatch):
         _sweep.triple_check.__wrapped__(over, DEFAULT_BUDGET)
 
 
-def test_enum_budget_validation():
-    with pytest.raises(ValueError):
-        EnumBudget(max_endos=0)
+def test_endo_cap_at_its_edge():
+    # the sweeps take a cell of exactly budget endomorphisms and refuse one more
+    g = PGroupType(2, (1, 1, 4))
+    count = endomorphism_count(g)
+    assert count == 4096
+    assert _sweep.sweep_cell.__wrapped__(g, count).endo_count == count
+    with pytest.raises(BudgetExceeded, match="4096 endomorphisms of p=2 e=1,1,4 exceed the cap 4095"):
+        _sweep.sweep_cell.__wrapped__(g, count - 1)
+
+
+def test_non_positive_budget_refuses_every_cell():
+    # every type, the trivial one too, has at least one endomorphism
+    for g in (PGroupType(2, ()), PGroupType(3, (1,))):
+        for budget in (0, -1):
+            with pytest.raises(BudgetExceeded):
+                _sweep.sweep_cell.__wrapped__(g, budget)
 
 
 # -- element-level counts ---------------------------------------------------------
@@ -382,7 +390,7 @@ def test_oracle_spectrum_examples():
 
 def test_oracle_spectrum_budget():
     with pytest.raises(BudgetExceeded):
-        oracle_spectrum(PGroupType(2, (2, 3)), budget=EnumBudget(max_endos=8))
+        oracle_spectrum(PGroupType(2, (2, 3)), budget=8)
 
 
 @pytest.mark.parametrize(
@@ -971,7 +979,7 @@ def test_triple_check_past_float64_bound_is_over_budget(monkeypatch):
     # n * p^{2E} >= 2^53, so at least 2^50 endomorphism x element pairs:
     # the order cap refuses them before _walk, whose _chunks would list
     # 2^27 chunk starts
-    huge = EnumBudget(max_endos=2**70)
+    huge = 2**70
     monkeypatch.setattr(_sweep, "_walk", None)
     for g in [PGroupType(2, (27,)), PGroupType(2, (1, 26))]:
         assert _sweep.batchable(g)
@@ -1002,7 +1010,7 @@ def test_product_bound_covers_the_packed_pivot_keys():
 
 
 def test_unbatchable_cell_is_over_budget():
-    huge = EnumBudget(max_endos=2**70)
+    huge = 2**70
     for g in [PGroupType(2, (1, 31)), PGroupType(2, (9,) * 5)]:
         with pytest.raises(BudgetExceeded):
             _sweep.sweep_cell(g, huge)
@@ -1316,7 +1324,7 @@ def test_stages_refuse_a_batch_first_stack():
     assert _sweep._fix_exponents(identity.transpose(1, 2, 0), g, 1).tolist() == [6]
 
 
-RAISED_BUDGET = EnumBudget(max_endos=2**25)
+RAISED_BUDGET = 2**25
 P7_CELLS = [PGroupType(7, e) for e in [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (1, 3), (1, 4), (2, 2)]]
 
 

@@ -31,6 +31,20 @@ def test_invariants_do_not_rely_on_assert():
     assert found == []
 
 
+def test_no_setting_is_read_from_the_environment():
+    # every setting is a command-line option or a constant: a value read
+    # from the environment would change results that the options do not show
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {a.name}" for a in node.names
+                          if a.name in ("environ", "getenv")]
+    assert found == []
+
+
 def test_every_error_class_has_a_raiser():
     # an error class that nothing in the package raises is dead public API
     tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
